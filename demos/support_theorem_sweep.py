@@ -1,9 +1,10 @@
 """Exhaustive support verification at small ranks.
 
 For every pair (w, gamma) in S_n x S_n the support of the permuted class is
-computed point by point and compared with the permuted Bruhat interval
-{v : v <=_gamma w}. Rank 4 already covers 576 pairs with 24 restriction
-points each.
+compared with the permuted Bruhat interval {v : v <=_gamma w}. Both sets are
+computed once per base class u = gamma^{-1}w, point by point, and relabelled
+by gamma for the other pairs. Rank 4 already covers 576 pairs with 24
+restriction points each.
 
 Run with:  python3 demos/support_theorem_sweep.py
 """
@@ -28,4 +29,4 @@ for key, value in entry.items():
 
 print()
 print("the rank-5 sweep (14400 pairs) is reachable the same way:")
-print("    verify_support_theorem(5, jobs=8)   # or: kflag verify --n 5 --jobs 8")
+print("    verify_support_theorem(5)   # or: kflag verify --n 5  (serial, a few seconds)")

@@ -42,7 +42,6 @@ from .laurent import (
 )
 from .ddo import apply_pi_word, delta, pi, pi_word
 from .groth import (
-    GrothendieckKey,
     grothendieck,
     permuted_grothendieck,
     permuted_grothendieck_by_word,

@@ -117,7 +117,7 @@ def _cmd_support(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = gkm.verify_support_theorem(args.n, jobs=args.jobs)
+    report = gkm.verify_support_theorem(args.n)
     if args.json:
         _emit_json(report.to_json_obj())
     else:
@@ -174,7 +174,7 @@ def _cmd_regular(args) -> int:
 def _cmd_kernel(args) -> int:
     lam = kirwan.WeightVector.parse(args.lam)
     mu = kirwan.WeightVector.parse(args.mu)
-    gens = kirwan.kernel_generators(lam, mu, jobs=args.jobs)
+    gens = kirwan.kernel_generators(lam, mu)
     if args.check:
         for gen in gens:
             kirwan.half_space_soundness(gen, lam, mu)
@@ -193,7 +193,7 @@ def _cmd_kernel(args) -> int:
 def _cmd_presentation(args) -> int:
     lam = kirwan.WeightVector.parse(args.lam)
     mu = kirwan.WeightVector.parse(args.mu)
-    pres = kirwan.presentation(lam, mu, jobs=args.jobs)
+    pres = kirwan.presentation(lam, mu)
     text = json.dumps(pres.to_json_obj(), indent=2)
     if args.out:
         try:
@@ -246,6 +246,18 @@ def restriction_class_to_json(alpha: gkm.RestrictionClass) -> dict:
 
 # -- parser ----------------------------------------------------------------------
 
+_JOBS_HELP = "accepted for compatibility and ignored; every run is serial (must be >= 1)"
+
+
+def _jobs(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -286,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("verify", "exhaustive support/interval sweep over S_n x S_n")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1, help=_JOBS_HELP)
     p.set_defaults(func=_cmd_verify)
 
     p = add("decompose", "decompose a localized class in a permuted basis")
@@ -303,14 +315,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("kernel", "kernel generators for a regular reduction level")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--mu", dest="mu", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1, help=_JOBS_HELP)
     p.add_argument("--check", action="store_true", help="run soundness certificates")
     p.set_defaults(func=_cmd_kernel)
 
     p = add("presentation", "assembled generators-and-relations presentation (JSON)")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--mu", dest="mu", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1, help=_JOBS_HELP)
     p.add_argument("--out", default=None, help="write to a file instead of stdout")
     p.set_defaults(func=_cmd_presentation)
 

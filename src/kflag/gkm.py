@@ -9,7 +9,6 @@ classes in a permuted Grothendieck basis by a triangular solve.
 
 from __future__ import annotations
 
-import multiprocessing
 import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -22,7 +21,7 @@ from .errors import (
     NotInSpanError,
 )
 from .groth import grothendieck, permuted_grothendieck
-from .laurent import LaurentPoly, canonical_zero_test, exact_div
+from .laurent import LaurentPoly, canonical_zero_test, exact_div, vanishes_mod_det
 from .perm import Permutation, all_permutations, bruhat_leq
 
 #: Ceiling for the exhaustive support sweep.
@@ -60,19 +59,15 @@ def restrict(f: LaurentPoly, z: Permutation) -> LaurentPoly:
 
 
 def _nonzero_at(terms: Mapping[tuple[int, ...], int], n: int, zpos: list[int]) -> bool:
-    # fused restriction + determinant elimination; equivalent to
-    # not canonical_zero_test(restrict(f, z)) but in a single pass
-    acc: dict[tuple[int, ...], int] = {}
-    for key, c in terms.items():
-        yexp = list(key[n:])
-        for i in range(n):
-            a = key[i]
-            if a:
-                yexp[zpos[i]] += a
-        last = yexp[n - 1]
-        red = tuple(yexp[j] - last for j in range(n - 1))
-        acc[red] = acc.get(red, 0) + c
-    return any(acc.values())
+    # not canonical_zero_test(restrict(f, z)) without building the restriction:
+    # x_i -> y_{z(i)} adds the x_i exponent into slot zpos[i] of the y part
+    src = [0] * n
+    for i, p in enumerate(zpos):
+        src[p] = i
+    slots = [(n + j, src[j]) for j in range(n)]
+    return not vanishes_mod_det(
+        ([key[y] + key[x] for y, x in slots], c) for key, c in terms.items()
+    )
 
 
 @dataclass
@@ -193,32 +188,6 @@ def _compare_support_interval(
     return PairCheck(w, gamma, False, supp, interval, ces)
 
 
-_SWEEP_STATE: dict | None = None
-
-
-def _sweep_pair_check(pair: tuple[tuple[int, ...], tuple[int, ...]]) -> PairCheck:
-    w_imgs, g_imgs = pair
-    state = _SWEEP_STATE
-    assert state is not None
-    n = state["n"]
-    ginv = [0] * n
-    for pos, val in enumerate(g_imgs, start=1):
-        ginv[val - 1] = pos
-    u = tuple(ginv[wv - 1] for wv in w_imgs)
-    base = state["cache"][u]
-    if g_imgs == state["id_images"]:
-        terms = base
-    else:
-        srcs = [n + ginv[t] - 1 for t in range(n)]
-        terms = {key[:n] + tuple(key[s] for s in srcs): c for key, c in base.items()}
-    supp = tuple(
-        z for z, zpos in state["points"] if _nonzero_at(terms, n, zpos)
-    )
-    interval = [tuple(g_imgs[pv - 1] for pv in p) for p in state["downsets"][u]]
-    universe = [z for z, _ in state["points"]]
-    return _compare_support_interval(w_imgs, g_imgs, supp, interval, universe)
-
-
 def _progress(done: int, total: int) -> None:
     print(f"[verify] {done}/{total} pairs checked", file=sys.stderr, flush=True)
 
@@ -229,50 +198,47 @@ def verify_support_theorem(
     """Exhaustively compare supports with permuted Bruhat intervals over S_n x S_n.
 
     For every pair (w, gamma) the support of the permuted class of (w, gamma)
-    is computed point by point and compared against {v : v <=_gamma w}. The
-    report lists both sets for every pair; mismatches carry per-point
-    counterexample certificates. Worker parallelism never changes the
-    report, only the wall time.
+    is compared against {v : v <=_gamma w}. The report lists both sets for
+    every pair; mismatches carry per-point counterexample certificates.
+
+    The sweep is serial and S_n-equivariant: with u = gamma^{-1}w, the
+    support of G_u and the interval [e, u] are computed once per u and
+    left-multiplied by gamma, by restrict(permute_y(gamma, f), z) =
+    permute_y(gamma, restrict(f, gamma^{-1}z)) and the S_n-invariance of the
+    determinant relation. ``jobs`` is accepted and ignored.
     """
     if n < 1:
         raise InvalidInputError(f"rank must be positive, got {n}")
     if n > max_rank:
         raise LimitExceededError(f"rank {n} exceeds the sweep bound {max_rank}")
-    global _SWEEP_STATE
     perms = list(all_permutations(n))
-    cache = {u.images: grothendieck(u).terms for u in perms}
-    downsets = {
-        u.images: tuple(p.images for p in perms if bruhat_leq(p, u)) for u in perms
-    }
-    _SWEEP_STATE = {
-        "n": n,
-        "id_images": tuple(range(1, n + 1)),
-        "points": [(z.images, [v - 1 for v in z.images]) for z in perms],
-        "cache": cache,
-        "downsets": downsets,
-    }
-    pairs = [(w.images, g.images) for w in perms for g in perms]
-    total = len(pairs)
+    # points[i] is the i-th permutation in lexicographic order, so sorting
+    # indices sorts the tuples; every tuple in the report is one of these
+    points = [p.images for p in perms]
+    index = {z: i for i, z in enumerate(points)}
+    # left[g][i] is the index of points[g] * points[i]
+    left = [[index[tuple(g[v - 1] for v in z)] for z in points] for g in points]
+    inv = [index[g.inverse().images] for g in perms]
+    base_support = [
+        [index[z.images] for z in support(grothendieck(u))] for u in perms
+    ]
+    base_interval = [
+        [i for i, p in enumerate(perms) if bruhat_leq(p, u)] for u in perms
+    ]
+    total = len(points) ** 2
     step = 2000
     checks: list[PairCheck] = []
-    try:
-        if jobs <= 1:
-            for idx, pair in enumerate(pairs, start=1):
-                checks.append(_sweep_pair_check(pair))
-                if idx % step == 0:
-                    _progress(idx, total)
-        else:
-            ctx = multiprocessing.get_context("fork")
-            chunk = max(1, total // (jobs * 8))
-            with ctx.Pool(processes=jobs) as pool:
-                for idx, res in enumerate(
-                    pool.imap(_sweep_pair_check, pairs, chunksize=chunk), start=1
-                ):
-                    checks.append(res)
-                    if idx % step == 0:
-                        _progress(idx, total)
-    finally:
-        _SWEEP_STATE = None
+    for w in range(len(points)):
+        for g in range(len(points)):
+            u = left[inv[g]][w]
+            lg = left[g]
+            supp = [points[i] for i in sorted(lg[i] for i in base_support[u])]
+            interval = [points[i] for i in sorted(lg[i] for i in base_interval[u])]
+            checks.append(
+                _compare_support_interval(points[w], points[g], supp, interval, points)
+            )
+            if len(checks) % step == 0:
+                _progress(len(checks), total)
     return SweepReport(n, checks)
 
 

@@ -5,41 +5,22 @@ class G_w is obtained by applying the isobaric operator word of w^{-1} to
 the top class; the gamma-permuted class is G_w with gamma^{-1}w in place of
 w and the y-variables relabeled by gamma.
 
-Results are cached per (rank, permutation). The cache is filled along
-canonical reduced words, so exhaustive sweeps over S_n share every
-intermediate operator application. Cached values are immutable and any
-racing fills compute identical polynomials, so concurrent use is safe.
+Plain classes are cached by the image tuple of w, which also fixes the
+rank. The cache is filled along canonical reduced words, so exhaustive
+sweeps over S_n share every intermediate operator application; permuted
+classes are never stored, they are y-relabelings of cached plain classes.
+Cached values are treated as immutable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ddo import pi, pi_word
 from .errors import InvalidInputError
 from .laurent import LaurentPoly, permute_y
-from .perm import Permutation, all_permutations
+from .perm import Permutation
 
 
-@dataclass(frozen=True)
-class GrothendieckKey:
-    """Cache key for a (possibly permuted) class: rank, w, and gamma.
-
-    Only identity-gamma entries are stored; permuted classes are derived on
-    demand by relabeling the y-variables, which keeps one shared cache
-    across all gamma during exhaustive sweeps.
-    """
-
-    n: int
-    w: tuple[int, ...]
-    gamma: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not (self.n == len(self.w) == len(self.gamma)):
-            raise InvalidInputError("mismatched ranks in cache key")
-
-
-_CACHE: dict[GrothendieckKey, LaurentPoly] = {}
+_CACHE: dict[tuple[int, ...], LaurentPoly] = {}
 
 
 def top(n: int) -> LaurentPoly:
@@ -63,11 +44,10 @@ def top(n: int) -> LaurentPoly:
 
 def grothendieck(w: Permutation) -> LaurentPoly:
     """The double Grothendieck polynomial of w (operator word of w^{-1} on the top class)."""
-    key = GrothendieckKey(w.n, w.images, tuple(range(1, w.n + 1)))
-    cached = _CACHE.get(key)
+    images = w.images
+    cached = _CACHE.get(images)
     if cached is not None:
         return cached
-    images = w.images
     a = next((i for i in range(1, w.n) if images[i - 1] > images[i]), None)
     if a is None:
         value = top(w.n)
@@ -75,7 +55,8 @@ def grothendieck(w: Permutation) -> LaurentPoly:
         # peeling the smallest right descent follows the canonical reduced
         # word of w^{-1}, so cached and word-built values agree bit-exactly
         value = pi(a, grothendieck(w * Permutation.simple(w.n, a)))
-    return _CACHE.setdefault(key, value)
+    _CACHE[images] = value
+    return value
 
 
 def permuted_grothendieck(w: Permutation, gamma: Permutation) -> LaurentPoly:
@@ -98,12 +79,6 @@ def permuted_grothendieck_by_word(w: Permutation, gamma: Permutation) -> Laurent
     if w.n != gamma.n:
         raise InvalidInputError(f"rank mismatch: {w.n} vs {gamma.n}")
     return pi_word(w.inverse() * gamma, permute_y(gamma, top(w.n)))
-
-
-def warm_cache(n: int) -> None:
-    """Precompute the classes of every element of S_n in a deterministic order."""
-    for w in all_permutations(n):
-        grothendieck(w)
 
 
 def clear_cache() -> None:

@@ -12,7 +12,6 @@ ideal and the determinant relation.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -239,15 +238,6 @@ class KernelGenerator:
         }
 
 
-def _generator_poly(pair: tuple[tuple[int, ...], tuple[int, ...]]) -> LaurentPoly:
-    v_imgs, g_imgs = pair
-    v = Permutation(v_imgs)
-    gamma = Permutation(g_imgs)
-    # pi_v of the top class is the plain class of v^{-1}; the operators
-    # commute with the y-relabeling by gamma
-    return permute_y(gamma, grothendieck(v.inverse()))
-
-
 def kernel_generators(
     lam: WeightVector, mu: WeightVector, jobs: int = 1
 ) -> tuple[KernelGenerator, ...]:
@@ -256,6 +246,7 @@ def kernel_generators(
     Requires mu regular (wall avoidance) and lam generic; refuses to emit
     anything otherwise. One generator is returned per qualifying pair, with
     every qualifying k recorded, in lexicographic (v, gamma) order.
+    ``jobs`` is accepted and ignored.
     """
     cert = is_regular(lam, mu)
     if not cert.regular:
@@ -275,19 +266,11 @@ def kernel_generators(
             ks = tuple(k for k in range(1, n) if lt[k - 1] < mt[k - 1])
             if ks:
                 qualifying.append((v, g, ks))
-    # fill the shared cache deterministically before any fork
-    for v in sorted({v for v, _, _ in qualifying}, key=lambda p: p.images):
-        grothendieck(v.inverse())
-    pairs = [(v.images, g.images) for v, g, _ in qualifying]
-    if jobs <= 1 or len(pairs) <= 1:
-        polys = [_generator_poly(pair) for pair in pairs]
-    else:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=jobs) as pool:
-            polys = pool.map(_generator_poly, pairs, chunksize=max(1, len(pairs) // (jobs * 4)))
+    # pi_v of the top class is the plain class of v^{-1}; the operators
+    # commute with the y-relabeling by gamma
     return tuple(
-        KernelGenerator(v, g, ks, poly)
-        for (v, g, ks), poly in zip(qualifying, polys)
+        KernelGenerator(v, g, ks, permute_y(g, grothendieck(v.inverse())))
+        for v, g, ks in qualifying
     )
 
 
@@ -367,8 +350,11 @@ def det_relation(n: int) -> LaurentPoly:
 
 
 def presentation(lam: WeightVector, mu: WeightVector, jobs: int = 1) -> Presentation:
-    """Assemble the full generators-and-relations presentation for (lam, mu)."""
-    kernel = kernel_generators(lam, mu, jobs=jobs)
+    """Assemble the full generators-and-relations presentation for (lam, mu).
+
+    ``jobs`` is accepted and ignored.
+    """
+    kernel = kernel_generators(lam, mu)
     n = lam.n
     variables = tuple(f"x{i}" for i in range(1, n + 1)) + tuple(
         f"y{i}" for i in range(1, n + 1)

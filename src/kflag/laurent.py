@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidInputError, NotDivisibleError
 from .perm import Permutation
@@ -393,27 +393,34 @@ def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
 # -- the determinant-relation zero test ---------------------------------------
 
 
+def vanishes_mod_det(yterms: Iterable[tuple[Sequence[int], int]]) -> bool:
+    """Whether the sum of c * y^e over (e, c) in yterms is 0 modulo (y_1 * ... * y_n - 1).
+
+    Eliminates y_n via y_n -> (y_1 ... y_{n-1})^{-1}, which maps y^e to the
+    monomial with exponents e_j - e_n, and checks that the result is
+    identically zero; this decides the question because the reduced ring is
+    an integral domain.
+    """
+    acc: dict[tuple[int, ...], int] = {}
+    for yexp, c in yterms:
+        last = yexp[-1]
+        red = tuple([e - last for e in yexp])
+        acc[red] = acc.get(red, 0) + c
+    return not any(acc.values())
+
+
 def canonical_zero_test(f: LaurentPoly) -> bool:
     """Whether a y-only polynomial vanishes modulo (y_1 * ... * y_n - 1).
-
-    Eliminates y_n via y_n -> (y_1 ... y_{n-1})^{-1} and checks that the
-    result is identically zero, which is decidable because the reduced ring
-    is an integral domain.
 
     >>> n = 3
     >>> det = LaurentPoly(n, {(0, 0, 0, 1, 1, 1): 1}) - 1
     >>> canonical_zero_test(det)
     True
     """
+    if not f.is_y_only():
+        raise InvalidInputError("canonical zero test applies to y-only polynomials")
     n = f.n
-    acc: dict[tuple[int, ...], int] = {}
-    for key, c in f.terms.items():
-        if any(key[:n]):
-            raise InvalidInputError("canonical zero test applies to y-only polynomials")
-        last = key[-1]
-        red = tuple(key[n + j] - last for j in range(n - 1))
-        acc[red] = acc.get(red, 0) + c
-    return not any(acc.values())
+    return vanishes_mod_det((key[n:], c) for key, c in f.terms.items())
 
 
 # -- serialization -------------------------------------------------------------
@@ -428,6 +435,14 @@ def poly_to_json(f: LaurentPoly) -> list[dict]:
     ]
 
 
+def _exponent_vector(value) -> tuple[int, ...]:
+    # integers only: a string would split into its digits and a boolean
+    # would pass for 0 or 1
+    if not isinstance(value, (list, tuple)) or any(type(e) is not int for e in value):
+        raise ValueError(f"exponents must be an array of integers, got {value!r}")
+    return tuple(value)
+
+
 def poly_from_json(data: Sequence[Mapping]) -> LaurentPoly:
     """Parse the term-list format; the rank is inferred from the exponent arrays."""
     if not isinstance(data, Sequence) or isinstance(data, (str, bytes)):
@@ -438,8 +453,8 @@ def poly_from_json(data: Sequence[Mapping]) -> LaurentPoly:
     n = None
     for item in data:
         try:
-            xexp = tuple(int(e) for e in item["x"])
-            yexp = tuple(int(e) for e in item["y"])
+            xexp = _exponent_vector(item["x"])
+            yexp = _exponent_vector(item["y"])
             coeff = int(str(item["coeff"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"malformed polynomial term {item!r}") from exc

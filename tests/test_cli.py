@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from kflag.cli import main, restriction_class_from_json, restriction_class_to_json
 from kflag.gkm import restrict_all
 from kflag.groth import top
@@ -86,6 +88,26 @@ class TestDdoPipe:
         code, _, err = run(capsys, "ddo", "--op", "pi", "--i", "1", "--poly", str(poly_file))
         assert code == 2
 
+    def test_string_exponents_exit_2(self, capsys, tmp_path):
+        # "12" must not be read as the exponent vector [1, 2]
+        poly_file = tmp_path / "poly.json"
+        poly_file.write_text(json.dumps([{"coeff": "1", "x": "12", "y": [0, 0]}]))
+        code, out, err = run(capsys, "ddo", "--op", "pi", "--i", "1", "--poly", str(poly_file))
+        assert code == 2
+        assert out == ""
+        assert "malformed polynomial term" in err
+
+    def test_boolean_exponents_exit_2(self, capsys, tmp_path):
+        # [true, false] must not be read as [1, 0]
+        poly_file = tmp_path / "poly.json"
+        poly_file.write_text(json.dumps([{"coeff": "1", "x": [True, False], "y": [0, 0]}]))
+        code, out, err = run(
+            capsys, "ddo", "--op", "delta", "--i", "1", "--poly", str(poly_file)
+        )
+        assert code == 2
+        assert out == ""
+        assert "malformed polynomial term" in err
+
 
 class TestRestrictAndSupport:
     def test_restrict_zero_point(self, capsys):
@@ -138,6 +160,13 @@ class TestVerify:
         _, out1, _ = run(capsys, "verify", "--n", "3", "--json")
         _, out2, _ = run(capsys, "verify", "--n", "3", "--jobs", "2", "--json")
         assert out1 == out2
+
+    @pytest.mark.parametrize("jobs", ["-5", "0"])
+    def test_jobs_below_one_exits_2(self, capsys, jobs):
+        code, out, err = run(capsys, "verify", "--n", "2", "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+        assert "--jobs" in err
 
 
 class TestDecompose:

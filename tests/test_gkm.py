@@ -1,8 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
 from kflag import gkm
+from kflag.cli import main as cli_main
 from kflag.errors import (
     InvalidInputError,
     LimitExceededError,
@@ -164,6 +166,21 @@ class TestSupport:
                 assert not canonical_zero_test(value)
 
 
+#: sha256 of the stdout of ``kflag verify --n N --json``, recorded with the
+#: per-pair sweep that restricted every relabelled class at every point
+VERIFY_JSON_SHA256 = {
+    4: "09374090c7bfc256f2890b327858a5793b62a68363c764d726227ee1079935b4",
+    5: "49a2e4021425edb0ad3c17be6835c3497c83aeff9c48d9ed79baf579830944f9",
+}
+
+
+def _verify_json_sha256(capsys, n):
+    code = cli_main(["verify", "--n", str(n), "--json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
 class TestVerifySweep:
     def test_rank_one(self):
         report = verify_support_theorem(1)
@@ -186,6 +203,31 @@ class TestVerifySweep:
     def test_bound(self):
         with pytest.raises(LimitExceededError):
             verify_support_theorem(6)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_relabelled_sets_match_per_pair_route(self, n):
+        # oracle: restrict each pair's own permuted class at every point and
+        # test each point against the permuted Bruhat order directly
+        perms = list(all_permutations(n))
+        report = verify_support_theorem(n)
+        assert [(c.w, c.gamma) for c in report.checks] == [
+            (w.images, gamma.images) for w in perms for gamma in perms
+        ]
+        for check in report.checks:
+            w, gamma = Permutation(check.w), Permutation(check.gamma)
+            assert check.support == tuple(
+                sorted(z.images for z in support(permuted_grothendieck(w, gamma)))
+            )
+            assert check.interval == tuple(
+                v.images for v in perms if permuted_bruhat_leq(v, w, gamma)
+            )
+
+    def test_rank_four_json_bytes_are_pinned(self, capsys):
+        assert _verify_json_sha256(capsys, 4) == VERIFY_JSON_SHA256[4]
+
+    @pytest.mark.slow
+    def test_rank_five_json_bytes_are_pinned(self, capsys):
+        assert _verify_json_sha256(capsys, 5) == VERIFY_JSON_SHA256[5]
 
     def test_counterexample_reporting(self):
         check = gkm._compare_support_interval(
