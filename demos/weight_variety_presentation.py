@@ -2,18 +2,18 @@
 
 Fixes a strictly decreasing zero-sum spectrum lam and a reduction level mu,
 checks that mu avoids every tail-sum wall, enumerates the kernel
-generators with their half-space witnesses, certifies each generator
-against its own support, and assembles the generators-and-relations
-presentation.
+generators with their half-space witnesses, certifies every generator
+against its support (one support per base class G_{v^-1}, relabelled by
+gamma), and assembles the generators-and-relations presentation.
 
 Run with:  python3 demos/weight_variety_presentation.py
 """
 
 from kflag import (
     WeightVector,
-    half_space_soundness,
     is_regular,
     kernel_generators,
+    kernel_soundness,
     moment_image,
     presentation,
 )
@@ -39,9 +39,7 @@ print(f"{len(gens)} kernel generators (v, gamma, witnessed cut positions):")
 for gen in gens:
     print(f"    v={gen.v} gamma={gen.gamma} k={list(gen.witnesses)}  {gen.poly}")
 
-checks = 0
-for gen in gens:
-    checks += len(half_space_soundness(gen, lam, mu).checks)
+checks = sum(len(cert.checks) for cert in kernel_soundness(gens, lam, mu))
 print()
 print(f"soundness: {checks} strict inequalities verified over all support points")
 

@@ -58,7 +58,6 @@ from .gkm import (
     verify_support_theorem,
 )
 from .kirwan import (
-    HalfSpaceSpec,
     KernelGenerator,
     Presentation,
     WeightVector,
@@ -66,6 +65,7 @@ from .kirwan import (
     half_space_soundness,
     is_regular,
     kernel_generators,
+    kernel_soundness,
     moment_image,
     presentation,
 )

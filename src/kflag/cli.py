@@ -176,8 +176,7 @@ def _cmd_kernel(args) -> int:
     mu = kirwan.WeightVector.parse(args.mu)
     gens = kirwan.kernel_generators(lam, mu)
     if args.check:
-        for gen in gens:
-            kirwan.half_space_soundness(gen, lam, mu)
+        kirwan.kernel_soundness(gens, lam, mu)
     if args.json:
         _emit_json([gen.to_json_obj() for gen in gens])
     else:
@@ -209,9 +208,12 @@ def _cmd_presentation(args) -> int:
 def restriction_class_from_json(data) -> gkm.RestrictionClass:
     """Parse {"n": N, "entries": [{"z": "...", "poly": [...]}, ...]}."""
     try:
-        n = int(data["n"])
+        n = data["n"]
         raw_entries = data["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
+        # integers only, here and in "z": int() would truncate 2.9 to 2
+        if type(n) is not int:
+            raise TypeError("'n' must be an integer")
+    except (KeyError, TypeError) as exc:
         raise InvalidInputError("class file must carry 'n' and 'entries'") from exc
     entries = {}
     for item in raw_entries:
@@ -220,7 +222,9 @@ def restriction_class_from_json(data) -> gkm.RestrictionClass:
             if isinstance(raw_z, str):
                 z = _parse_permutation(raw_z, n)
             else:
-                z = Permutation(tuple(int(v) for v in raw_z))
+                if any(type(v) is not int for v in raw_z):
+                    raise TypeError("'z' must be an array of integers")
+                z = Permutation(tuple(raw_z))
                 if z.n != n:
                     raise InvalidInputError(f"entry {raw_z!r} does not have rank {n}")
             terms = item["poly"]

@@ -192,9 +192,7 @@ def _progress(done: int, total: int) -> None:
     print(f"[verify] {done}/{total} pairs checked", file=sys.stderr, flush=True)
 
 
-def verify_support_theorem(
-    n: int, jobs: int = 1, max_rank: int = MAX_SWEEP_RANK
-) -> SweepReport:
+def verify_support_theorem(n: int, jobs: int = 1) -> SweepReport:
     """Exhaustively compare supports with permuted Bruhat intervals over S_n x S_n.
 
     For every pair (w, gamma) the support of the permuted class of (w, gamma)
@@ -209,8 +207,8 @@ def verify_support_theorem(
     """
     if n < 1:
         raise InvalidInputError(f"rank must be positive, got {n}")
-    if n > max_rank:
-        raise LimitExceededError(f"rank {n} exceeds the sweep bound {max_rank}")
+    if n > MAX_SWEEP_RANK:
+        raise LimitExceededError(f"rank {n} exceeds the sweep bound {MAX_SWEEP_RANK}")
     perms = list(all_permutations(n))
     # points[i] is the i-th permutation in lexicographic order, so sorting
     # indices sorts the tuples; every tuple in the report is one of these

@@ -8,6 +8,9 @@ reduction map is generated by the operator classes of all (v, gamma) whose
 lam tail sum drops below the mu tail sum for some cut position k. The
 presentation assembles those generators with the symmetric-difference
 ideal and the determinant relation.
+
+Each generator relabels a base class: its class is permute_y(gamma, G_{v^-1})
+and its support gamma * supp(G_{v^-1}), so soundness needs one support per v.
 """
 
 from __future__ import annotations
@@ -57,9 +60,11 @@ class WeightVector:
     def from_json(cls, data) -> "WeightVector":
         """Parse the JSON form: an array of {"num": int, "den": int}."""
         try:
-            entries = tuple(
-                Fraction(int(item["num"]), int(item["den"])) for item in data
-            )
+            pairs = [(item["num"], item["den"]) for item in data]
+            # integers only: int() would truncate 2.5 to 2 and read true as 1
+            if any(type(e) is not int for pair in pairs for e in pair):
+                raise TypeError("num and den must be integers")
+            entries = tuple(Fraction(num, den) for num, den in pairs)
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InvalidInputError(f"cannot read weight JSON {data!r}") from exc
         return cls(entries)
@@ -103,7 +108,11 @@ def moment_image(lam: WeightVector, w: Permutation) -> WeightVector:
 
 
 def eta_value(gamma: Permutation, k: int, nu: WeightVector) -> Fraction:
-    """The tail-sum functional: sum of nu over the slots gamma(k+1), ..., gamma(n)."""
+    """The tail-sum functional: sum of nu over the slots gamma(k+1), ..., gamma(n).
+
+    >>> eta_value(Permutation((2, 3, 1)), 1, WeightVector.parse("3,1,-4"))
+    Fraction(-1, 1)
+    """
     if gamma.n != nu.n:
         raise InvalidInputError(f"rank mismatch: {gamma.n} vs {nu.n}")
     if not 1 <= k <= gamma.n - 1:
@@ -112,38 +121,6 @@ def eta_value(gamma: Permutation, k: int, nu: WeightVector) -> Fraction:
     return sum(
         (entries[gamma.images[i] - 1] for i in range(k, gamma.n)), Fraction(0)
     )
-
-
-@dataclass(frozen=True)
-class HalfSpaceSpec:
-    """A linear functional sum_i b_i e_i, optionally tagged as eta_k^gamma."""
-
-    coefficients: tuple[Fraction, ...]
-    gamma: Permutation | None = None
-    k: int | None = None
-
-    def __post_init__(self) -> None:
-        coeffs = tuple(Fraction(b) for b in self.coefficients)
-        object.__setattr__(self, "coefficients", coeffs)
-        if len(coeffs) < 1:
-            raise InvalidInputError("functional needs at least one coefficient")
-
-    @classmethod
-    def eta(cls, gamma: Permutation, k: int) -> "HalfSpaceSpec":
-        """Indicator coefficients of the slots gamma(k+1), ..., gamma(n)."""
-        if not 1 <= k <= gamma.n - 1:
-            raise InvalidInputError(f"cut position {k} out of range for rank {gamma.n}")
-        coeffs = [Fraction(0)] * gamma.n
-        for i in range(k, gamma.n):
-            coeffs[gamma.images[i] - 1] = Fraction(1)
-        return cls(tuple(coeffs), gamma=gamma, k=k)
-
-    def value(self, nu: WeightVector) -> Fraction:
-        if len(self.coefficients) != nu.n:
-            raise InvalidInputError(f"rank mismatch: {len(self.coefficients)} vs {nu.n}")
-        return sum(
-            (b * e for b, e in zip(self.coefficients, nu.entries)), Fraction(0)
-        )
 
 
 # -- regularity of the reduction level -------------------------------------------
@@ -291,31 +268,52 @@ class SoundnessCertificate:
     checks: tuple[SoundnessCheck, ...]
 
 
+def kernel_soundness(
+    gens: Sequence[KernelGenerator], lam: WeightVector, mu: WeightVector
+) -> tuple[SoundnessCertificate, ...]:
+    """Certify that each generator's support lies strictly inside its half-spaces.
+
+    A poly other than permute_y(gamma, G_{v^-1}) raises SoundnessFailureError,
+    so a certificate covers gen.poly only as the class of (v, gamma). For each
+    z = gamma * p in sorted order and witness k, eta_k^gamma(lam_z), the lam
+    tail sum over p^-1, must fall below eta_k^gamma(mu), the mu tail sum over
+    gamma; a violation raises SoundnessFailureError naming (z, k).
+    """
+    bases: dict[Permutation, tuple[LaurentPoly, list]] = {}
+    certs = []
+    for gen in gens:
+        v, gamma = gen.v, gen.gamma
+        if lam.n != v.n or mu.n != v.n or not all(0 < k < v.n for k in gen.witnesses):
+            raise InvalidInputError("generator does not fit the weight data")
+        if v not in bases:
+            base = grothendieck(v.inverse())
+            points = list(support(base))
+            tails = _tail_sums(lam, [p.inverse() for p in points])
+            bases[v] = base, [(p, tails[p.inverse()]) for p in points]
+        base, points = bases[v]
+        if gen.poly != permute_y(gamma, base):
+            raise SoundnessFailureError(f"poly of v={v} gamma={gamma} is not its class")
+        level = _tail_sums(mu, [gamma])[gamma]
+        rows = [(gamma * p, tails) for p, tails in points]
+        checks = []
+        for z, tails in sorted(rows, key=lambda row: row[0].images):
+            for k in gen.witnesses:
+                lhs, rhs = tails[k - 1], level[k - 1]
+                if not lhs < rhs:
+                    raise SoundnessFailureError(
+                        f"support point {z} violates the k={k} inequality: {lhs} >= {rhs}"
+                    )
+                checks.append(SoundnessCheck(z, k, lhs, rhs))
+        certs.append(SoundnessCertificate(gen, tuple(checks)))
+    return tuple(certs)
+
+
 def half_space_soundness(
     gen: KernelGenerator, lam: WeightVector, mu: WeightVector
 ) -> SoundnessCertificate:
-    """Check that every support point of a generator sits strictly inside its half-spaces.
-
-    For each z in the support of the generator's polynomial and each
-    recorded witness k, asserts
-    eta_k^gamma(lam_z) < eta_k^gamma(mu); any violation raises
-    SoundnessFailureError naming the offending (z, k).
-    """
-    if lam.n != gen.v.n or mu.n != gen.v.n:
-        raise InvalidInputError("rank mismatch between generator and weight data")
-    level_values = {k: eta_value(gen.gamma, k, mu) for k in gen.witnesses}
-    checks = []
-    for z in sorted(support(gen.poly), key=lambda p: p.images):
-        image = moment_image(lam, z)
-        for k in gen.witnesses:
-            lhs = eta_value(gen.gamma, k, image)
-            rhs = level_values[k]
-            if not lhs < rhs:
-                raise SoundnessFailureError(
-                    f"support point {z} violates the k={k} inequality: {lhs} >= {rhs}"
-                )
-            checks.append(SoundnessCheck(z, k, lhs, rhs))
-    return SoundnessCertificate(gen, tuple(checks))
+    """kernel_soundness of one generator, via supp(permute_y(gamma, f)) = gamma * supp(f);
+    it certifies gen.poly only as the class of (v, gamma)."""
+    return kernel_soundness((gen,), lam, mu)[0]
 
 
 # -- the assembled presentation --------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import re
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidInputError, NotDivisibleError
@@ -187,12 +188,6 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self.n == other.n and self.terms == other.terms
-
-    def __getstate__(self):
-        return (self.n, self.terms)
-
-    def __setstate__(self, state):
-        self.n, self.terms = state
 
     # -- inspection --------------------------------------------------------
 
@@ -455,7 +450,11 @@ def poly_from_json(data: Sequence[Mapping]) -> LaurentPoly:
         try:
             xexp = _exponent_vector(item["x"])
             yexp = _exponent_vector(item["y"])
-            coeff = int(str(item["coeff"]))
+            coeff = item["coeff"]
+            # decimal strings only: int() would also read "1_0", " 5" and a bare 7
+            if not (isinstance(coeff, str) and re.fullmatch(r"-?[0-9]+", coeff)):
+                raise ValueError(f"coefficient {coeff!r} is not a decimal string")
+            coeff = int(coeff)
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"malformed polynomial term {item!r}") from exc
         if n is None:

@@ -108,6 +108,24 @@ class TestDdoPipe:
         assert out == ""
         assert "malformed polynomial term" in err
 
+    @pytest.mark.parametrize(
+        "coeff",
+        [
+            pytest.param("1_0", id="underscore"),  # int() reads it as 10
+            pytest.param(7, id="bare-integer"),
+            pytest.param(" 5", id="blank"),
+        ],
+    )
+    def test_coefficient_not_a_decimal_string_exits_2(self, capsys, tmp_path, coeff):
+        poly_file = tmp_path / "poly.json"
+        poly_file.write_text(json.dumps([{"coeff": coeff, "x": [2, 0], "y": [0, 0]}]))
+        code, out, err = run(
+            capsys, "ddo", "--op", "delta", "--i", "1", "--poly", str(poly_file)
+        )
+        assert code == 2
+        assert out == ""
+        assert "malformed polynomial term" in err
+
 
 class TestRestrictAndSupport:
     def test_restrict_zero_point(self, capsys):
@@ -191,6 +209,27 @@ class TestDecompose:
             capsys, "decompose", "--n", "3", "--gamma", "1,2,3", "--class", str(class_file)
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            pytest.param("n", 2.9, id="n-float"),  # int() truncates it to 2
+            pytest.param("z", [1.0, 2.7], id="z-floats"),  # int() reads (1, 2)
+        ],
+    )
+    def test_class_file_non_integers_exit_2(self, capsys, tmp_path, field, value):
+        data = restriction_class_to_json(restrict_all(top(2)))
+        if field == "n":
+            data["n"] = value
+        else:
+            data["entries"][0]["z"] = value
+        class_file = tmp_path / "class.json"
+        class_file.write_text(json.dumps(data))
+        code, out, _ = run(
+            capsys, "decompose", "--n", "2", "--gamma", "1,2", "--class", str(class_file)
+        )
+        assert code == 2
+        assert out == ""
 
     def test_class_json_roundtrip(self):
         alpha = restrict_all(top(3))

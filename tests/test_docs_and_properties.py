@@ -9,6 +9,7 @@ import pytest
 import kflag.ddo
 import kflag.gkm
 import kflag.groth
+import kflag.kirwan
 import kflag.laurent
 import kflag.perm
 from kflag.kirwan import (
@@ -21,7 +22,7 @@ from kflag.kirwan import (
 
 @pytest.mark.parametrize(
     "module",
-    [kflag.perm, kflag.laurent, kflag.ddo, kflag.groth, kflag.gkm],
+    [kflag.perm, kflag.laurent, kflag.ddo, kflag.groth, kflag.gkm, kflag.kirwan],
     ids=lambda m: m.__name__,
 )
 def test_doctests(module):

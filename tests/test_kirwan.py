@@ -10,7 +10,6 @@ from kflag.errors import (
 from kflag.gkm import support
 from kflag.groth import permuted_grothendieck
 from kflag.kirwan import (
-    HalfSpaceSpec,
     KernelGenerator,
     WeightVector,
     det_relation,
@@ -18,6 +17,7 @@ from kflag.kirwan import (
     half_space_soundness,
     is_regular,
     kernel_generators,
+    kernel_soundness,
     moment_image,
     presentation,
 )
@@ -69,6 +69,17 @@ class TestWeightVector:
         assert WeightVector.from_json(data) == lam
         with pytest.raises(InvalidInputError):
             WeightVector.from_json([{"num": 1}])
+
+    @pytest.mark.parametrize("bad", [2.5, True, "2"], ids=["float", "bool", "string"])
+    def test_json_num_must_be_an_integer(self, bad):
+        # 2.5 must not be truncated to 2, nor true read as 1
+        with pytest.raises(InvalidInputError):
+            WeightVector.from_json([{"num": bad, "den": 1}, {"num": -2, "den": 1}])
+
+    @pytest.mark.parametrize("bad", [1.0, True, "1"], ids=["float", "bool", "string"])
+    def test_json_den_must_be_an_integer(self, bad):
+        with pytest.raises(InvalidInputError):
+            WeightVector.from_json([{"num": 1, "den": bad}, {"num": -1, "den": 1}])
 
 
 class TestMomentImage:
@@ -123,15 +134,6 @@ class TestEtaValue:
     def test_k_out_of_range(self):
         with pytest.raises(InvalidInputError):
             eta_value(Permutation.identity(3), 3, W("1,0,-1"))
-
-    def test_half_space_spec_agrees(self):
-        lam = W("1,0,-1")
-        for gamma in all_permutations(3):
-            for k in (1, 2):
-                spec = HalfSpaceSpec.eta(gamma, k)
-                for w in all_permutations(3):
-                    nu = moment_image(lam, w)
-                    assert spec.value(nu) == eta_value(gamma, k, nu)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_monotone_along_permuted_order(self, n):
@@ -280,6 +282,69 @@ class TestSoundness:
         )
         with pytest.raises(SoundnessFailureError):
             half_space_soundness(bad, lam, mu)
+
+    @pytest.mark.parametrize(
+        "lam, mu",
+        [
+            ("1,0,-1", "1/4,1/8,-3/8"),
+            ("3,1,-1,-3", "31/97,17/97,-11/97,-37/97"),
+        ],
+        ids=["rank3", "rank4"],
+    )
+    def test_kernel_soundness_matches_per_generator_route(self, lam, mu):
+        # oracle: the support of each generator's own polynomial, with both
+        # sides of every inequality from eta_value at the moment image
+        lam, mu = W(lam), W(mu)
+        gens = kernel_generators(lam, mu)
+        certs = kernel_soundness(gens, lam, mu)
+        assert [cert.generator for cert in certs] == list(gens)
+        checks = 0
+        for gen, cert in zip(gens, certs):
+            expected = [
+                (
+                    z,
+                    k,
+                    eta_value(gen.gamma, k, moment_image(lam, z)),
+                    eta_value(gen.gamma, k, mu),
+                )
+                for z in sorted(support(gen.poly), key=lambda p: p.images)
+                for k in gen.witnesses
+            ]
+            got = [(c.z, c.k, c.fixed_point_value, c.level_value) for c in cert.checks]
+            assert got == expected
+            assert all(type(value) is Fraction for row in got for value in row[2:])
+            assert half_space_soundness(gen, lam, mu) == cert
+            checks += len(got)
+        assert (len(gens), checks) == {3: (24, 72), 4: (432, 4104)}[lam.n]
+
+    def test_poly_that_is_not_the_class_fails(self):
+        # 2 * G has the same support as G, so only the class check can catch it
+        lam, mu = W("1,0,-1"), W("1/4,1/8,-3/8")
+        gen = kernel_generators(lam, mu)[5]
+        doubled = KernelGenerator(gen.v, gen.gamma, gen.witnesses, 2 * gen.poly)
+        with pytest.raises(SoundnessFailureError, match="not its class"):
+            kernel_soundness((gen, doubled), lam, mu)
+        with pytest.raises(SoundnessFailureError):
+            half_space_soundness(doubled, lam, mu)
+
+    def test_witness_out_of_range_refused(self):
+        lam, mu = W("1,0,-1"), W("1/4,1/8,-3/8")
+        gen = kernel_generators(lam, mu)[0]
+        for ks in [(0,), (3,)]:
+            bad = KernelGenerator(gen.v, gen.gamma, ks, gen.poly)
+            with pytest.raises(InvalidInputError):
+                half_space_soundness(bad, lam, mu)
+
+    @pytest.mark.slow
+    def test_rank_five_kernel_is_sound(self):
+        lam, mu = W("4,2,0,-2,-4"), W("31/97,17/97,5/97,-11/97,-42/97")
+        gens = kernel_generators(lam, mu)
+        certs = kernel_soundness(gens, lam, mu)
+        assert len(certs) == 11520
+        assert sum(len(cert.checks) for cert in certs) == 439680
+        assert all(
+            c.fixed_point_value < c.level_value for cert in certs for c in cert.checks
+        )
 
     def test_support_subset_of_half_space(self):
         # the geometric statement: every support point of an emitted

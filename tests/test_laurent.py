@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 
 import pytest
@@ -238,6 +239,7 @@ class TestSerialization:
                 continue
             data = json.loads(json.dumps(poly_to_json(f)))
             assert poly_from_json(data) == f
+            assert pickle.loads(pickle.dumps(f)) == f
 
     def test_json_is_sorted_descending(self):
         f = 1 - yv(2, 2) * LaurentPoly.monomial(2, 1, xexp=(-1, 0))
