@@ -31,15 +31,24 @@ def top(n: int) -> LaurentPoly:
     """
     if not isinstance(n, int) or n < 1:
         raise InvalidInputError(f"rank must be a positive integer, got {n!r}")
-    poly = LaurentPoly.one(n)
-    unit = (0,) * (2 * n)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            key = [0] * (2 * n)
-            key[i - 1] = -1
-            key[n + j - 1] = 1
-            poly = poly * LaurentPoly(n, {unit: 1, tuple(key): -1})
-    return poly
+    terms = {(0,) * (2 * n): 1}
+    for i in range(n):
+        for j in range(i + 1, n):
+            # terms * (1 - y_j/x_i) = terms - (terms shifted by y_j/x_i), 0-based i, j
+            out = dict(terms)
+            get = out.get
+            for key, c in terms.items():
+                k = list(key)
+                k[i] -= 1
+                k[n + j] += 1
+                nk = tuple(k)
+                s = get(nk, 0) - c
+                if s:
+                    out[nk] = s
+                else:
+                    del out[nk]
+            terms = out
+    return LaurentPoly._raw(n, terms)
 
 
 def grothendieck(w: Permutation) -> LaurentPoly:

@@ -1,16 +1,21 @@
 """Independent oracles used by the test suite.
 
 Everything here works on raw tuples and Fractions and deliberately avoids
-the library's own Bruhat test, reduced-word builder, and polynomial
-division, so the tests compare two genuinely different routes.
+the library's own Bruhat test, reduced-word builder, and closed-form
+divided differences, so the tests compare two genuinely different routes.
+The divided differences here go through the library's exact polynomial
+division (kept there for ``gkm.decompose``), which shares no code with
+``kflag.ddo``.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
-from kflag.laurent import LaurentPoly
+from kflag.laurent import LaurentPoly, exact_div, permute_x
+from kflag.perm import Permutation
 
 # -- tuple permutation helpers (1-based images, independent of kflag.perm) ------
 
@@ -147,3 +152,35 @@ def random_laurent(
         if coeff:
             terms[key] = terms.get(key, 0) + coeff
     return LaurentPoly(n, {k: c for k, c in terms.items() if c})
+
+
+# -- divided differences through division, and the top class by brute force ------
+
+
+def delta_by_division(i: int, f: LaurentPoly) -> LaurentPoly:
+    """(f - s_i f) / (x_i - x_{i+1}) through the library's exact long division."""
+    numerator = f - permute_x(Permutation.simple(f.n, i), f)
+    return exact_div(numerator, LaurentPoly.x(f.n, i) - LaurentPoly.x(f.n, i + 1))
+
+
+def pi_by_division(i: int, f: LaurentPoly) -> LaurentPoly:
+    """delta_by_division(i, x_i * f)."""
+    return delta_by_division(i, LaurentPoly.x(f.n, i) * f)
+
+
+def top_by_subsets(n: int) -> LaurentPoly:
+    """prod_{i<j} (1 - y_j/x_i) expanded over the subsets S of the pairs (i, j).
+
+    S contributes (-1)^|S| * prod_{(i, j) in S} y_j / x_i.
+    """
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    terms: dict[tuple[int, ...], int] = {}
+    for size in range(len(pairs) + 1):
+        for subset in itertools.combinations(pairs, size):
+            key = [0] * (2 * n)
+            for i, j in subset:
+                key[i] -= 1
+                key[n + j] += 1
+            key = tuple(key)
+            terms[key] = terms.get(key, 0) + (-1) ** size
+    return LaurentPoly(n, terms)

@@ -2,12 +2,20 @@ import random
 
 import pytest
 
+from kflag import groth
 from kflag.ddo import apply_pi_word, delta, pi, pi_word
 from kflag.errors import InvalidInputError
 from kflag.laurent import LaurentPoly, permute_x
 from kflag.perm import Permutation, all_permutations
 
-from oracles import all_reduced_words, eval_poly, random_laurent, random_point
+from oracles import (
+    all_reduced_words,
+    delta_by_division,
+    eval_poly,
+    pi_by_division,
+    random_laurent,
+    random_point,
+)
 
 
 def xv(n, i):
@@ -24,7 +32,7 @@ def top_factor(n, i, j):
     return 1 - yv(n, j) * LaurentPoly.monomial(n, 1, xexp=xexp)
 
 
-def corpus(seed, count, ranks=(2, 3, 4)):
+def corpus(seed, count, ranks=(2, 3, 4, 5)):
     rng = random.Random(seed)
     polys = []
     while len(polys) < count:
@@ -131,6 +139,40 @@ class TestOperatorLaws:
                 for j in range(i + 2, n):
                     assert delta(i, delta(j, f)) == delta(j, delta(i, f))
                     assert pi(i, pi(j, f)) == pi(j, pi(i, f))
+
+
+class TestClosedFormAgainstDivision:
+    """The closed-form operators equal the old route through exact division,
+    term dict for term dict."""
+
+    @staticmethod
+    def assert_same(i, f, check_delta=True):
+        assert pi(i, f).terms == pi_by_division(i, f).terms
+        if check_delta:
+            assert delta(i, f).terms == delta_by_division(i, f).terms
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_class_every_index(self, n):
+        for w in all_permutations(n):
+            f = groth.grothendieck(w)
+            for i in range(1, n):
+                self.assert_same(i, f)
+
+    def test_random_laurent_corpus(self):
+        # negative exponents included
+        assert any(min(key) < 0 for _, f in TestOperatorLaws.CORPUS for key in f.terms)
+        for n, f in TestOperatorLaws.CORPUS:
+            for i in range(1, n):
+                self.assert_same(i, f)
+
+    @pytest.mark.slow
+    def test_rank_six_slice(self):
+        # every 120th class of S_6, the top class among them; pi only, since
+        # division at rank 6 is slow and delta is covered exhaustively above
+        for w in list(all_permutations(6))[::120]:
+            f = groth.grothendieck(w)
+            for i in range(1, 6):
+                self.assert_same(i, f, check_delta=False)
 
 
 class TestPiWord:

@@ -1,10 +1,13 @@
 import pytest
 
 from kflag import groth
+from kflag.ddo import pi
 from kflag.gkm import restrict
 from kflag.laurent import LaurentPoly, canonical_zero_test, exact_div, permute_y
 from kflag.errors import NotDivisibleError
 from kflag.perm import Permutation, all_permutations
+
+from oracles import top_by_subsets
 
 
 def yv(n, i):
@@ -26,6 +29,11 @@ class TestTop:
     def test_rank_three_matches_displayed_product(self):
         expected = top_factor(3, 1, 2) * top_factor(3, 1, 3) * top_factor(3, 2, 3)
         assert groth.top(3) == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_subset_expansion(self, n):
+        # at n = 5: 1,024 subsets of the 10 pairs
+        assert groth.top(n).terms == top_by_subsets(n).terms
 
 
 class TestGrothendieck:
@@ -75,6 +83,27 @@ class TestPermutedGrothendieck:
                 assert groth.permuted_grothendieck(
                     w, gamma
                 ) == groth.permuted_grothendieck_by_word(w, gamma)
+
+    @pytest.mark.slow
+    def test_operator_words_on_relabeled_top_rank_five(self):
+        # for every gamma, the pi-words of u^{-1} on permute_y(gamma, top(5)),
+        # memoised along the smallest right descent of u as in grothendieck,
+        # against the relabelled plain class of all 14,400 pairs (w, gamma)
+        n = 5
+        perms = list(all_permutations(n))
+        for gamma in perms:
+            words = {Permutation.identity(n).images: permute_y(gamma, groth.top(n))}
+
+            def by_word(u):
+                cached = words.get(u.images)
+                if cached is None:
+                    a = next(i for i in range(1, n) if u.images[i - 1] > u.images[i])
+                    cached = pi(a, by_word(u * Permutation.simple(n, a)))
+                    words[u.images] = cached
+                return cached
+
+            for w in perms:
+                assert by_word(gamma.inverse() * w) == groth.permuted_grothendieck(w, gamma)
 
     def test_relabel_identity_against_plain_classes(self):
         # the permuted class is the y-relabeling of the plain class of gamma^{-1} w
