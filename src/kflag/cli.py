@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 from typing import Sequence
 
 from . import gkm, groth, kirwan
@@ -50,8 +51,17 @@ def _parse_gamma(args, n: int) -> Permutation:
     return _parse_permutation(args.gamma, n)
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+def _emit_json(obj, fh=None) -> None:
+    # the same text as json.dumps(obj, indent=2) plus a newline, written in
+    # batches of the encoder's chunks: the whole text of a rank-5 report would
+    # be one string of tens of MB, and one write per chunk is one system call
+    # per chunk on an unbuffered stream (PYTHONUNBUFFERED)
+    if fh is None:
+        fh = sys.stdout
+    chunks = json.JSONEncoder(indent=2).iterencode(obj)
+    while batch := "".join(islice(chunks, 1 << 16)):
+        fh.write(batch)
+    fh.write("\n")
 
 
 def _print_poly(args, poly: LaurentPoly) -> None:
@@ -192,16 +202,15 @@ def _cmd_kernel(args) -> int:
 def _cmd_presentation(args) -> int:
     lam = kirwan.WeightVector.parse(args.lam)
     mu = kirwan.WeightVector.parse(args.mu)
-    pres = kirwan.presentation(lam, mu)
-    text = json.dumps(pres.to_json_obj(), indent=2)
+    obj = kirwan.presentation(lam, mu).to_json_obj()
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+                _emit_json(obj, fh)
         except OSError as exc:
             raise InvalidInputError(f"cannot write {args.out!r}: {exc}") from exc
     else:
-        print(text)
+        _emit_json(obj)
     return 0
 
 

@@ -11,18 +11,29 @@ ideal and the determinant relation.
 
 Each generator relabels a base class: its class is permute_y(gamma, G_{v^-1})
 and its support gamma * supp(G_{v^-1}), so soundness needs one support per v.
+The generators of one kernel_generators call share their key tuples: at
+rank 5 about 1.09 M terms hold 9,366 distinct keys.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import lt
 from typing import Sequence
 
 from .errors import InvalidInputError, NotRegularError, SoundnessFailureError
 from .gkm import support
 from .groth import grothendieck
-from .laurent import LaurentPoly, elementary_symmetric, permute_y, poly_to_json
+from .laurent import (
+    LaurentPoly,
+    _relabel,
+    _slot_getter,
+    elementary_symmetric,
+    poly_to_json,
+)
 from .perm import Permutation, act_on_weights, all_permutations
 
 
@@ -151,17 +162,30 @@ class RegularityCertificate:
         return {"regular": self.regular, "walls": [w.to_json_obj() for w in self.walls]}
 
 
-def _tail_sums(vec: WeightVector, perms: Sequence[Permutation]) -> dict[Permutation, tuple[Fraction, ...]]:
-    # tails[p][k-1] = sum of vec over the slots p(k+1), ..., p(n)
-    n = vec.n
+def _tail_sums(values: Sequence, perms: Sequence[Permutation]) -> dict[Permutation, tuple]:
+    # tails[p][k-1] = sum of values over the slots p(k+1), ..., p(n)
+    n = len(values)
     out = {}
     for p in perms:
-        vals = [vec.entries[i - 1] for i in p.images]
-        suffix = [Fraction(0)] * (n + 1)
+        vals = [values[i - 1] for i in p.images]
+        suffix = [0] * (n + 1)
         for i in range(n - 1, -1, -1):
             suffix[i] = suffix[i + 1] + vals[i]
-        out[p] = tuple(suffix[k] for k in range(1, n))
+        out[p] = tuple(suffix[1:n])
     return out
+
+
+def _scaled_tails(
+    lam: WeightVector, mu: WeightVector, perms: Sequence[Permutation]
+) -> tuple[int, dict, dict]:
+    # integer tail sums of D * lam and D * mu, D the lcm of all denominators:
+    # integer comparisons decide the same inequalities as the Fractions
+    d = math.lcm(*(e.denominator for e in lam.entries + mu.entries))
+
+    def scaled(vec: WeightVector) -> list[int]:
+        return [e.numerator * (d // e.denominator) for e in vec.entries]
+
+    return d, _tail_sums(scaled(lam), perms), _tail_sums(scaled(mu), perms)
 
 
 def is_regular(lam: WeightVector, mu: WeightVector) -> RegularityCertificate:
@@ -176,16 +200,14 @@ def is_regular(lam: WeightVector, mu: WeightVector) -> RegularityCertificate:
         raise InvalidInputError(f"rank mismatch: {lam.n} vs {mu.n}")
     lam.require_generic()
     perms = list(all_permutations(lam.n))
-    lam_tails = _tail_sums(lam, perms)
-    mu_tails = _tail_sums(mu, perms)
+    d, lam_tails, mu_tails = _scaled_tails(lam, mu, perms)
     walls = []
     for v in perms:
-        lt = lam_tails[v]
+        lam_t = lam_tails[v]
         for g in perms:
-            mt = mu_tails[g]
-            for k in range(1, lam.n):
-                if lt[k - 1] == mt[k - 1]:
-                    walls.append(WallHit(v, g, k, lt[k - 1]))
+            for k, (a, b) in enumerate(zip(lam_t, mu_tails[g]), 1):
+                if a == b:
+                    walls.append(WallHit(v, g, k, Fraction(a, d)))
     return RegularityCertificate(not walls, tuple(walls))
 
 
@@ -233,22 +255,23 @@ def kernel_generators(
         )
     n = lam.n
     perms = list(all_permutations(n))
-    lam_tails = _tail_sums(lam, perms)
-    mu_tails = _tail_sums(mu, perms)
-    qualifying: list[tuple[Permutation, Permutation, tuple[int, ...]]] = []
+    _, lam_tails, mu_tails = _scaled_tails(lam, mu, perms)
+    getters = [_slot_getter(g, n) for g in perms]
+    pool: dict[tuple[int, ...], tuple[int, ...]] = {}
+    cuts = range(1, n)
+    gens = []
     for v in perms:
-        lt = lam_tails[v]
-        for g in perms:
-            mt = mu_tails[g]
-            ks = tuple(k for k in range(1, n) if lt[k - 1] < mt[k - 1])
+        lam_t = lam_tails[v]
+        base = None
+        for g, get in zip(perms, getters):
+            ks = tuple(compress(cuts, map(lt, lam_t, mu_tails[g])))
             if ks:
-                qualifying.append((v, g, ks))
-    # pi_v of the top class is the plain class of v^{-1}; the operators
-    # commute with the y-relabeling by gamma
-    return tuple(
-        KernelGenerator(v, g, ks, permute_y(g, grothendieck(v.inverse())))
-        for v, g, ks in qualifying
-    )
+                if base is None:
+                    # pi_v of the top class is the plain class of v^{-1}; the
+                    # operators commute with the y-relabeling by gamma
+                    base = grothendieck(v.inverse())
+                gens.append(KernelGenerator(v, g, ks, _relabel(base, get, pool)))
+    return tuple(gens)
 
 
 # -- soundness certificates ----------------------------------------------------------
@@ -283,17 +306,21 @@ def kernel_soundness(
     certs = []
     for gen in gens:
         v, gamma = gen.v, gen.gamma
-        if lam.n != v.n or mu.n != v.n or not all(0 < k < v.n for k in gen.witnesses):
+        if {lam.n, mu.n, gamma.n} != {v.n} or not all(0 < k < v.n for k in gen.witnesses):
             raise InvalidInputError("generator does not fit the weight data")
         if v not in bases:
             base = grothendieck(v.inverse())
             points = list(support(base))
-            tails = _tail_sums(lam, [p.inverse() for p in points])
+            tails = _tail_sums(lam.entries, [p.inverse() for p in points])
             bases[v] = base, [(p, tails[p.inverse()]) for p in points]
         base, points = bases[v]
-        if gen.poly != permute_y(gamma, base):
+        # the relabelling is a bijection on keys, so equal sizes and a match
+        # at every relabelled base key mean gen.poly == permute_y(gamma, base)
+        terms = gen.poly.terms
+        found = list(map(terms.get, map(_slot_getter(gamma, v.n), base.terms)))
+        if len(terms) != len(base.terms) or found != list(base.terms.values()):
             raise SoundnessFailureError(f"poly of v={v} gamma={gamma} is not its class")
-        level = _tail_sums(mu, [gamma])[gamma]
+        level = _tail_sums(mu.entries, [gamma])[gamma]
         rows = [(gamma * p, tails) for p, tails in points]
         checks = []
         for z, tails in sorted(rows, key=lambda row: row[0].images):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import re
+from operator import add, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidInputError, NotDivisibleError
@@ -170,10 +171,11 @@ class LaurentPoly:
         if len(a) < len(b):
             a, b = b, a
         out: dict[tuple[int, ...], int] = {}
+        get = out.get
         for k2, c2 in b.items():
             for k1, c1 in a.items():
-                key = tuple(e1 + e2 for e1, e2 in zip(k1, k2))
-                s = out.get(key, 0) + c1 * c2
+                key = tuple(map(add, k1, k2))
+                s = get(key, 0) + c1 * c2
                 if s:
                     out[key] = s
                 else:
@@ -232,36 +234,52 @@ def elementary_symmetric(i: int, block: str, n: int) -> LaurentPoly:
 # -- variable relabelings ----------------------------------------------------
 
 
-def permute_x(sigma: Permutation, f: LaurentPoly) -> LaurentPoly:
-    """Relabel x_i as x_{sigma(i)}; a ring automorphism."""
+def _slot_getter(sigma: Permutation, offset: int) -> itemgetter:
+    """An itemgetter mapping an exponent key to its relabelling by sigma.
+
+    offset 0 relabels the x block and offset n the y block: the exponent of
+    the new variable t + 1 is read from slot offset + sigma^{-1}(t + 1) - 1.
+    """
+    n = sigma.n
+    slots = list(range(2 * n))
+    slots[offset:offset + n] = [offset + s - 1 for s in sigma.inverse().images]
+    return itemgetter(*slots)
+
+
+def _relabel(f: LaurentPoly, get: itemgetter, pool: dict | None = None) -> LaurentPoly:
+    """f with each key k replaced by get(k), a bijection on keys.
+
+    With a pool, each new key is interned in it (pool.setdefault(k, k)), so
+    the polynomials relabelled through one pool share equal key tuples.
+    """
+    keys = map(get, f.terms)
+    if pool is not None:
+        keys = list(keys)
+        keys = map(pool.setdefault, keys, keys)
+    return LaurentPoly._raw(f.n, dict(zip(keys, f.terms.values())))
+
+
+def _permute(sigma: Permutation, f: LaurentPoly, offset: int) -> LaurentPoly:
     if sigma.n != f.n:
         raise InvalidInputError(f"rank mismatch: {sigma.n} vs {f.n}")
     if sigma.is_identity():
         return f
-    n = f.n
-    inv = sigma.inverse().images
-    srcs = [inv[t] - 1 for t in range(n)]
-    out = {
-        tuple(key[s] for s in srcs) + key[n:]: c
-        for key, c in f.terms.items()
-    }
-    return LaurentPoly._raw(n, out)
+    return _relabel(f, _slot_getter(sigma, offset))
+
+
+def permute_x(sigma: Permutation, f: LaurentPoly) -> LaurentPoly:
+    """Relabel x_i as x_{sigma(i)}; a ring automorphism."""
+    return _permute(sigma, f, 0)
 
 
 def permute_y(sigma: Permutation, f: LaurentPoly) -> LaurentPoly:
-    """Relabel y_i as y_{sigma(i)}; a ring automorphism."""
-    if sigma.n != f.n:
-        raise InvalidInputError(f"rank mismatch: {sigma.n} vs {f.n}")
-    if sigma.is_identity():
-        return f
-    n = f.n
-    inv = sigma.inverse().images
-    srcs = [n + inv[t] - 1 for t in range(n)]
-    out = {
-        key[:n] + tuple(key[s] for s in srcs): c
-        for key, c in f.terms.items()
-    }
-    return LaurentPoly._raw(n, out)
+    """Relabel y_i as y_{sigma(i)}; a ring automorphism.
+
+    >>> f = LaurentPoly.x(3, 1) * LaurentPoly.y(3, 1) - LaurentPoly.y(3, 3)
+    >>> str(permute_y(Permutation((2, 3, 1)), f))
+    'x1*y2 - y1'
+    """
+    return _permute(sigma, f, f.n)
 
 
 # -- substitution -------------------------------------------------------------

@@ -5,7 +5,8 @@ the library's own Bruhat test, reduced-word builder, and closed-form
 divided differences, so the tests compare two genuinely different routes.
 The divided differences here go through the library's exact polynomial
 division (kept there for ``gkm.decompose``), which shares no code with
-``kflag.ddo``.
+``kflag.ddo``. The variable relabellings rebuild each key one exponent at a
+time, without the library's precomputed getters.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from kflag.laurent import LaurentPoly, exact_div, permute_x
+from kflag.laurent import LaurentPoly, exact_div
 from kflag.perm import Permutation
 
 # -- tuple permutation helpers (1-based images, independent of kflag.perm) ------
@@ -154,12 +155,41 @@ def random_laurent(
     return LaurentPoly(n, {k: c for k, c in terms.items() if c})
 
 
+# -- variable relabellings, one exponent at a time ----------------------------------
+
+
+def _sources(sigma: Permutation) -> list[int]:
+    # the new variable t + 1 takes the exponent of the old variable sigma^{-1}(t + 1)
+    inv = [0] * len(sigma.images)
+    for pos, val in enumerate(sigma.images, start=1):
+        inv[val - 1] = pos
+    return [s - 1 for s in inv]
+
+
+def permute_x_by_terms(sigma: Permutation, f: LaurentPoly) -> LaurentPoly:
+    """Relabel x_i as x_{sigma(i)}, building each key with a generator expression."""
+    n = f.n
+    srcs = _sources(sigma)
+    return LaurentPoly(
+        n, {tuple(key[s] for s in srcs) + key[n:]: c for key, c in f.terms.items()}
+    )
+
+
+def permute_y_by_terms(sigma: Permutation, f: LaurentPoly) -> LaurentPoly:
+    """Relabel y_i as y_{sigma(i)}, building each key with a generator expression."""
+    n = f.n
+    srcs = [n + s for s in _sources(sigma)]
+    return LaurentPoly(
+        n, {key[:n] + tuple(key[s] for s in srcs): c for key, c in f.terms.items()}
+    )
+
+
 # -- divided differences through division, and the top class by brute force ------
 
 
 def delta_by_division(i: int, f: LaurentPoly) -> LaurentPoly:
     """(f - s_i f) / (x_i - x_{i+1}) through the library's exact long division."""
-    numerator = f - permute_x(Permutation.simple(f.n, i), f)
+    numerator = f - permute_x_by_terms(Permutation.simple(f.n, i), f)
     return exact_div(numerator, LaurentPoly.x(f.n, i) - LaurentPoly.x(f.n, i + 1))
 
 

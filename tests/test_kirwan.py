@@ -8,7 +8,7 @@ from kflag.errors import (
     SoundnessFailureError,
 )
 from kflag.gkm import support
-from kflag.groth import permuted_grothendieck
+from kflag.groth import grothendieck, permuted_grothendieck
 from kflag.kirwan import (
     KernelGenerator,
     WeightVector,
@@ -24,9 +24,26 @@ from kflag.kirwan import (
 from kflag.laurent import LaurentPoly, elementary_symmetric
 from kflag.perm import Permutation, all_permutations, permuted_bruhat_leq
 
+from oracles import permute_y_by_terms
+
 
 def W(text):
     return WeightVector.parse(text)
+
+
+def tail_pairs_by_eta(lam, mu):
+    """(v, gamma, [(k, lam tail over v, mu tail over gamma)]) for every pair, in
+    lexicographic order, with both tail sums as eta_value Fractions."""
+    perms = list(all_permutations(lam.n))
+    return [
+        (v, g, [(k, eta_value(v, k, lam), eta_value(g, k, mu)) for k in range(1, lam.n)])
+        for v in perms
+        for g in perms
+    ]
+
+
+# thirds against sevenths: the integer tail sums are scaled by D = 21
+MIXED_LAM, MIXED_MU = "2,1/3,-2/3,-5/3", "3/7,1/7,-1/7,-3/7"
 
 
 class TestWeightVector:
@@ -189,6 +206,27 @@ class TestIsRegular:
                         expected += 1
         assert len(cert.walls) == expected
 
+    @pytest.mark.parametrize(
+        "lam, mu",
+        [("2/3,1/7,-17/21", "2/3,-1/3,-1/3"), (MIXED_LAM, MIXED_MU)],
+        ids=["walls", "regular"],
+    )
+    def test_mixed_denominators_match_eta_brute_force(self, lam, mu):
+        lam, mu = W(lam), W(mu)
+        expected = [
+            (v, g, k, a)
+            for v, g, tails in tail_pairs_by_eta(lam, mu)
+            for k, a, b in tails
+            if a == b
+        ]
+        cert = is_regular(lam, mu)
+        assert [(h.v, h.gamma, h.k, h.value) for h in cert.walls] == expected
+        assert cert.regular == (not expected)
+        assert all(type(h.value) is Fraction for h in cert.walls)
+        if expected:
+            # a wall off the integers: its value is exact, not rounded to D
+            assert Fraction(-2, 3) in {h.value for h in cert.walls}
+
 
 class TestKernelGenerators:
     def test_rank_two_exact_output(self):
@@ -247,6 +285,34 @@ class TestKernelGenerators:
         for gen in kernel_generators(lam, mu):
             direct = pi_word(gen.v, permute_y(gen.gamma, top(3)))
             assert gen.poly == direct
+
+    @pytest.mark.parametrize(
+        "lam, mu",
+        [
+            ("1,0,-1", "1/4,1/8,-3/8"),
+            ("3,1,-1,-3", "31/97,17/97,-11/97,-37/97"),
+            (MIXED_LAM, MIXED_MU),
+        ],
+        ids=["rank3", "rank4", "rank4-mixed"],
+    )
+    def test_matches_per_pair_route(self, lam, mu):
+        # oracle: witnesses from eta_value Fractions, polynomials relabelled
+        # one exponent at a time, pair by pair
+        lam, mu = W(lam), W(mu)
+        expected = []
+        for v, g, tails in tail_pairs_by_eta(lam, mu):
+            ks = tuple(k for k, a, b in tails if a < b)
+            if ks:
+                poly = permute_y_by_terms(g, grothendieck(v.inverse()))
+                expected.append((v, g, ks, poly.terms))
+        gens = kernel_generators(lam, mu)
+        assert [(g.v, g.gamma, g.witnesses, g.poly.terms) for g in gens] == expected
+        assert len(gens) == {3: 24, 4: 432}[lam.n]
+
+    def test_generators_share_key_tuples(self):
+        lam, mu = W("3,1,-1,-3"), W("31/97,17/97,-11/97,-37/97")
+        keys = [k for gen in kernel_generators(lam, mu) for k in gen.poly.terms]
+        assert len({id(k) for k in keys}) == len(set(keys)) < len(keys)
 
     def test_jobs_do_not_change_output(self):
         lam, mu = W("1,0,-1"), W("1/4,1/8,-3/8")
@@ -327,6 +393,21 @@ class TestSoundness:
         with pytest.raises(SoundnessFailureError):
             half_space_soundness(doubled, lam, mu)
 
+    def test_poly_of_another_pair_or_with_an_extra_term_fails(self):
+        # the class of the same v under another gamma has as many terms, so
+        # only the relabelled keys tell it apart; an extra term changes the size
+        lam, mu = W("1,0,-1"), W("1/4,1/8,-3/8")
+        gens = kernel_generators(lam, mu)
+        gen, other = next(
+            (a, b) for a in gens for b in gens if a.v == b.v and a.gamma != b.gamma
+        )
+        assert len(gen.poly.terms) == len(other.poly.terms)
+        extra = gen.poly + LaurentPoly.monomial(3, 1, xexp=(5, 0, 0))
+        for poly in (other.poly, extra):
+            bad = KernelGenerator(gen.v, gen.gamma, gen.witnesses, poly)
+            with pytest.raises(SoundnessFailureError, match="not its class"):
+                kernel_soundness((gen, bad), lam, mu)
+
     def test_witness_out_of_range_refused(self):
         lam, mu = W("1,0,-1"), W("1/4,1/8,-3/8")
         gen = kernel_generators(lam, mu)[0]
@@ -334,6 +415,13 @@ class TestSoundness:
             bad = KernelGenerator(gen.v, gen.gamma, ks, gen.poly)
             with pytest.raises(InvalidInputError):
                 half_space_soundness(bad, lam, mu)
+
+    def test_gamma_of_another_rank_refused(self):
+        lam, mu = W("1,0,-1"), W("1/4,1/8,-3/8")
+        gen = kernel_generators(lam, mu)[0]
+        bad = KernelGenerator(gen.v, Permutation.identity(4), gen.witnesses, gen.poly)
+        with pytest.raises(InvalidInputError):
+            kernel_soundness((bad,), lam, mu)
 
     @pytest.mark.slow
     def test_rank_five_kernel_is_sound(self):

@@ -17,9 +17,16 @@ from kflag.laurent import (
     render_poly,
     substitute,
 )
-from kflag.perm import Permutation
+from kflag.groth import top
+from kflag.perm import Permutation, all_permutations
 
-from oracles import eval_poly, random_laurent, random_point
+from oracles import (
+    eval_poly,
+    permute_x_by_terms,
+    permute_y_by_terms,
+    random_laurent,
+    random_point,
+)
 
 
 def xv(n, i):
@@ -102,6 +109,20 @@ class TestPermute:
             f2 = random_laurent(rng, 3)
             assert permute_x(g, f1 * f2) == permute_x(g, f1) * permute_x(g, f2)
             assert permute_y(g, f1 + f2) == permute_y(g, f1) + permute_y(g, f2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_term_by_term_route(self, n):
+        rng = random.Random(40 + n)
+        polys = [random_laurent(rng, n, max_terms=8) for _ in range(4)]
+        for sigma in all_permutations(n):
+            for f in polys:
+                assert permute_x(sigma, f).terms == permute_x_by_terms(sigma, f).terms
+                assert permute_y(sigma, f).terms == permute_y_by_terms(sigma, f).terms
+
+    def test_relabelled_top_class_rank_five(self):
+        f = top(5)
+        for gamma in all_permutations(5):
+            assert permute_y(gamma, f).terms == permute_y_by_terms(gamma, f).terms
 
     def test_paper_style_y_swap_of_top_product(self):
         # swapping y1, y2 in (1 - y2/x1)(1 - y3/x1)(1 - y3/x2)
