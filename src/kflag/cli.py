@@ -190,11 +190,14 @@ def _cmd_kernel(args) -> int:
     if args.json:
         _emit_json([gen.to_json_obj() for gen in gens])
     else:
+        # the generators share their key tuples, so one memo renders each
+        # distinct monomial once
+        memo: dict = {}
         for gen in gens:
             ks = ",".join(map(str, gen.witnesses))
             print(
                 f"v={gen.v.one_line()} gamma={gen.gamma.one_line()}"
-                f" witnesses={ks} poly={render_poly(gen.poly)}"
+                f" witnesses={ks} poly={render_poly(gen.poly, memo)}"
             )
     return 0
 

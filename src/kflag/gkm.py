@@ -5,13 +5,30 @@ x_i -> y_{z(i)} (the y-variables are untouched). Support membership is
 decided modulo the determinant relation y_1 ... y_n = 1. The module also
 runs the exhaustive support/interval sweep and decomposes localized
 classes in a permuted Grothendieck basis by a triangular solve.
+
+Every route that needs f at all n! points (support, restrict_all,
+decompose, recompose) walks S_n once over packed integer keys. A monomial
+packs into sum_j e_j * B^(j-1) over its y-exponents, with the x-exponents
+not yet substituted in the digits above; modulo the determinant relation,
+y_n -> (y_1 ... y_{n-1})^-1 gives slot n the weight -(1 + B + ... + B^(n-2)).
+B is a power of two above 8M, M the largest |exponent| of f: a restricted
+exponent is at most 2M in size (4M after the determinant shift), so every
+balanced digit lies inside (-B/2, B/2) and the packing is injective. By
+linearity, x_i -> y_j adds alpha_i * (W_y[j] - W_x[i]) to each key, one
+C-level pass per step. The walk fixes z(1), z(2), ... depth first in
+increasing order (lexicographic order of z, shared prefixes), and merges
+equal keys before each branching, so terms that cancel early (the top
+class once z(1) != 1) leave the walk. ``restrict(f, z)`` substitutes at
+one point and is the oracle.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from itertools import count, repeat
+from operator import add, itemgetter, mul
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     InternalInvariantError,
@@ -21,7 +38,7 @@ from .errors import (
     NotInSpanError,
 )
 from .groth import grothendieck, permuted_grothendieck
-from .laurent import LaurentPoly, canonical_zero_test, exact_div, vanishes_mod_det
+from .laurent import LaurentPoly, canonical_zero_test, exact_div
 from .perm import Permutation, all_permutations, bruhat_leq
 
 #: Ceiling for the exhaustive support sweep.
@@ -58,16 +75,103 @@ def restrict(f: LaurentPoly, z: Permutation) -> LaurentPoly:
     return LaurentPoly._raw(n, out)
 
 
-def _nonzero_at(terms: Mapping[tuple[int, ...], int], n: int, zpos: list[int]) -> bool:
-    # not canonical_zero_test(restrict(f, z)) without building the restriction:
-    # x_i -> y_{z(i)} adds the x_i exponent into slot zpos[i] of the y part
-    src = [0] * n
-    for i, p in enumerate(zpos):
-        src[p] = i
-    slots = [(n + j, src[j]) for j in range(n)]
-    return not vanishes_mod_det(
-        ([key[y] + key[x] for y, x in slots], c) for key, c in terms.items()
-    )
+def _packing_base(f: LaurentPoly) -> int:
+    """The packing base B: the least power of two above 8 * (max |exponent| of f)."""
+    keys = f.terms
+    m = max(max(map(max, keys)), -min(map(min, keys))) if keys else 0
+    return 1 << (8 * m).bit_length()
+
+
+def _sums(keys: Sequence[int], coeffs: Sequence[int]) -> dict[int, int]:
+    acc: dict[int, int] = {}
+    get = acc.get
+    for k, c in zip(keys, coeffs):
+        acc[k] = get(k, 0) + c
+    return acc
+
+
+def _packed_restrictions(f: LaurentPoly, det: bool) -> Iterator[tuple[list[int], list[int]]]:
+    """(keys, coeffs) for every z in S_n, in lexicographic order of z.
+
+    The restriction of f at z (with det, modulo the determinant relation) is
+    the sum of coeffs[t] * y^e over t, where keys[t] packs e. Equal keys may
+    repeat. The lists are shared between points and must not be changed.
+    """
+    n = f.n
+    b = _packing_base(f)
+    ydigits = n - 1 if det else n
+    yweights = [b**j for j in range(n)]
+    if det:
+        yweights[-1] = -sum(yweights[:-1])
+    xweights = [b ** (ydigits + i) for i in range(n)]
+    terms = list(f.terms)
+    packed = [0] * len(terms)
+    for slot, wt in enumerate(xweights + yweights):
+        col = list(map(itemgetter(slot), terms))
+        if wt and any(col):
+            packed = list(map(add, packed, map(mul, col, repeat(wt))))
+    xcols = [list(map(itemgetter(i), terms)) for i in range(n)]
+
+    def walk(keys, coeffs, xcols, free):
+        if not free:
+            yield keys, coeffs
+            return
+        if len(free) > 1:
+            # terms with equal keys agree at every point below: merge them
+            acc = _sums(keys, coeffs)
+            live = [k for k, c in acc.items() if c]
+            if len(live) < len(keys):
+                where = dict(zip(keys, count()))
+                rows = list(map(where.__getitem__, live))
+                coeffs = list(map(acc.__getitem__, live))
+                xcols = [list(map(col.__getitem__, rows)) for col in xcols]
+                keys = live
+        col, rest = xcols[0], xcols[1:]
+        moves, xw = any(col), xweights[n - len(free)]
+        for j in free:
+            # x_i -> y_j moves the x_i exponent from its x digit to y digit j
+            child = keys
+            if moves:
+                child = list(map(add, keys, map(mul, col, repeat(yweights[j - 1] - xw))))
+            yield from walk(child, coeffs, rest, [v for v in free if v != j])
+
+    return walk(packed, list(f.terms.values()), xcols, list(range(1, n + 1)))
+
+
+def _nonzero_at(keys: Sequence[int], coeffs: Sequence[int]) -> bool:
+    """Whether the packed restriction at one fixed point has a nonzero coefficient;
+    support makes one call per point."""
+    return any(_sums(keys, coeffs).values())
+
+
+def _restrictions(f: LaurentPoly) -> Iterator[LaurentPoly]:
+    """restrict(f, z) for every z in S_n, in lexicographic order.
+
+    Each distinct packed key is decoded into its exponent tuple once per call.
+    """
+    n = f.n
+    b = _packing_base(f)
+    half, shift = b >> 1, b.bit_length() - 1
+    zeros = (0,) * n
+    decoded: dict[int, tuple[int, ...]] = {}
+
+    def decode(k: int) -> tuple[int, ...]:
+        digits = []
+        for _ in range(n):
+            d = ((k + half) & (b - 1)) - half  # the balanced digit
+            digits.append(d)
+            k = (k - d) >> shift
+        return zeros + tuple(digits)
+
+    for keys, coeffs in _packed_restrictions(f, False):
+        out = {}
+        for k, c in _sums(keys, coeffs).items():
+            if c:
+                key = decoded.get(k)
+                if key is None:
+                    key = decoded[k] = decode(k)
+                out[key] = c
+        yield LaurentPoly._raw(n, out)
 
 
 @dataclass
@@ -92,19 +196,13 @@ class RestrictionClass:
 
 def restrict_all(f: LaurentPoly) -> RestrictionClass:
     """Restrict at every fixed point of S_n."""
-    return RestrictionClass(f.n, {z: restrict(f, z) for z in all_permutations(f.n)})
+    return RestrictionClass(f.n, dict(zip(all_permutations(f.n), _restrictions(f))))
 
 
 def support(f: LaurentPoly) -> SupportSet:
     """Fixed points where the restriction of f is nonzero modulo the determinant relation."""
-    n = f.n
-    terms = f.terms
-    members = []
-    for z in all_permutations(n):
-        zpos = [v - 1 for v in z.images]
-        if _nonzero_at(terms, n, zpos):
-            members.append(z)
-    return frozenset(members)
+    walk = zip(all_permutations(f.n), _packed_restrictions(f, True))
+    return frozenset(z for z, (keys, coeffs) in walk if _nonzero_at(keys, coeffs))
 
 
 # -- exhaustive support sweep ---------------------------------------------------
@@ -266,17 +364,15 @@ def decompose(alpha: RestrictionClass, gamma: Permutation) -> dict[Permutation, 
         if res_w.is_zero:
             coeffs[w] = LaurentPoly.zero(n)
             continue
-        gw = permuted_grothendieck(w, gamma)
-        diag = restrict(gw, w)
+        rows = dict(zip(perms, _restrictions(permuted_grothendieck(w, gamma))))
         try:
-            a_w = exact_div(res_w, diag)
+            a_w = exact_div(res_w, rows[w])
         except NotDivisibleError as exc:
             raise NotInSpanError(
                 f"residue at {w} is not divisible by the diagonal restriction"
             ) from exc
         coeffs[w] = a_w
-        for z in perms:
-            rz = restrict(gw, z)
+        for z, rz in rows.items():
             if not rz.is_zero:
                 residue[z] = residue[z] - a_w * rz
     for z in perms:
@@ -301,9 +397,7 @@ def recompose(
             raise InvalidInputError(f"coefficient at {w} involves x-variables")
         if c.is_zero:
             continue
-        gw = permuted_grothendieck(w, gamma)
-        for z in perms:
-            rz = restrict(gw, z)
+        for z, rz in zip(perms, _restrictions(permuted_grothendieck(w, gamma))):
             if not rz.is_zero:
                 entries[z] = entries[z] + c * rz
     return RestrictionClass(n, entries)

@@ -15,10 +15,13 @@ Cached values are treated as immutable.
 from __future__ import annotations
 
 from .ddo import pi, pi_word
-from .errors import InvalidInputError
+from .errors import InvalidInputError, LimitExceededError
 from .laurent import LaurentPoly, permute_y
 from .perm import Permutation
 
+
+#: Ceiling for building classes: top(7) has 484,912 terms, top(8) does not fit in 2 GB.
+MAX_CLASS_RANK = 7
 
 _CACHE: dict[tuple[int, ...], LaurentPoly] = {}
 
@@ -31,6 +34,8 @@ def top(n: int) -> LaurentPoly:
     """
     if not isinstance(n, int) or n < 1:
         raise InvalidInputError(f"rank must be a positive integer, got {n!r}")
+    if n > MAX_CLASS_RANK:
+        raise LimitExceededError(f"rank {n} exceeds the class bound {MAX_CLASS_RANK}")
     terms = {(0,) * (2 * n): 1}
     for i in range(n):
         for j in range(i + 1, n):

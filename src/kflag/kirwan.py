@@ -24,7 +24,12 @@ from itertools import compress
 from operator import lt
 from typing import Sequence
 
-from .errors import InvalidInputError, NotRegularError, SoundnessFailureError
+from .errors import (
+    InvalidInputError,
+    LimitExceededError,
+    NotRegularError,
+    SoundnessFailureError,
+)
 from .gkm import support
 from .groth import grothendieck
 from .laurent import (
@@ -35,6 +40,11 @@ from .laurent import (
     poly_to_json,
 )
 from .perm import Permutation, act_on_weights, all_permutations
+
+
+#: Ceiling for the weight layer: is_regular compares (n!)^2 pairs of tail sums,
+#: and kernel_generators and presentation go through it.
+MAX_WEIGHT_RANK = 6
 
 
 def _fraction_json(q: Fraction) -> dict:
@@ -175,17 +185,22 @@ def _tail_sums(values: Sequence, perms: Sequence[Permutation]) -> dict[Permutati
     return out
 
 
-def _scaled_tails(
-    lam: WeightVector, mu: WeightVector, perms: Sequence[Permutation]
-) -> tuple[int, dict, dict]:
-    # integer tail sums of D * lam and D * mu, D the lcm of all denominators:
-    # integer comparisons decide the same inequalities as the Fractions
+def _scaled(lam: WeightVector, mu: WeightVector) -> tuple[int, list[int], list[int]]:
+    # D * lam and D * mu as integers, D the lcm of all denominators: their
+    # tail sums decide the same inequalities as the Fractions
     d = math.lcm(*(e.denominator for e in lam.entries + mu.entries))
 
     def scaled(vec: WeightVector) -> list[int]:
         return [e.numerator * (d // e.denominator) for e in vec.entries]
 
-    return d, _tail_sums(scaled(lam), perms), _tail_sums(scaled(mu), perms)
+    return d, scaled(lam), scaled(mu)
+
+
+def _scaled_tails(
+    lam: WeightVector, mu: WeightVector, perms: Sequence[Permutation]
+) -> tuple[int, dict, dict]:
+    d, lam_ints, mu_ints = _scaled(lam, mu)
+    return d, _tail_sums(lam_ints, perms), _tail_sums(mu_ints, perms)
 
 
 def is_regular(lam: WeightVector, mu: WeightVector) -> RegularityCertificate:
@@ -198,6 +213,10 @@ def is_regular(lam: WeightVector, mu: WeightVector) -> RegularityCertificate:
     """
     if lam.n != mu.n:
         raise InvalidInputError(f"rank mismatch: {lam.n} vs {mu.n}")
+    if lam.n > MAX_WEIGHT_RANK:
+        raise LimitExceededError(
+            f"rank {lam.n} exceeds the weight-layer bound {MAX_WEIGHT_RANK}"
+        )
     lam.require_generic()
     perms = list(all_permutations(lam.n))
     d, lam_tails, mu_tails = _scaled_tails(lam, mu, perms)
@@ -300,10 +319,13 @@ def kernel_soundness(
     so a certificate covers gen.poly only as the class of (v, gamma). For each
     z = gamma * p in sorted order and witness k, eta_k^gamma(lam_z), the lam
     tail sum over p^-1, must fall below eta_k^gamma(mu), the mu tail sum over
-    gamma; a violation raises SoundnessFailureError naming (z, k).
+    gamma; a violation raises SoundnessFailureError naming (z, k). The
+    inequalities are decided on the integer tails of _scaled; the checks
+    carry the exact Fraction values.
     """
     bases: dict[Permutation, tuple[LaurentPoly, list]] = {}
     certs = []
+    _, lam_ints, mu_ints = _scaled(lam, mu)
     for gen in gens:
         v, gamma = gen.v, gen.gamma
         if {lam.n, mu.n, gamma.n} != {v.n} or not all(0 < k < v.n for k in gen.witnesses):
@@ -311,8 +333,10 @@ def kernel_soundness(
         if v not in bases:
             base = grothendieck(v.inverse())
             points = list(support(base))
-            tails = _tail_sums(lam.entries, [p.inverse() for p in points])
-            bases[v] = base, [(p, tails[p.inverse()]) for p in points]
+            invs = [p.inverse() for p in points]
+            tails = _tail_sums(lam.entries, invs)
+            ints = _tail_sums(lam_ints, invs)
+            bases[v] = base, [(p, tails[q], ints[q]) for p, q in zip(points, invs)]
         base, points = bases[v]
         # the relabelling is a bijection on keys, so equal sizes and a match
         # at every relabelled base key mean gen.poly == permute_y(gamma, base)
@@ -321,12 +345,13 @@ def kernel_soundness(
         if len(terms) != len(base.terms) or found != list(base.terms.values()):
             raise SoundnessFailureError(f"poly of v={v} gamma={gamma} is not its class")
         level = _tail_sums(mu.entries, [gamma])[gamma]
-        rows = [(gamma * p, tails) for p, tails in points]
+        level_ints = _tail_sums(mu_ints, [gamma])[gamma]
+        rows = [(gamma * p, tails, ints) for p, tails, ints in points]
         checks = []
-        for z, tails in sorted(rows, key=lambda row: row[0].images):
+        for z, tails, ints in sorted(rows, key=lambda row: row[0].images):
             for k in gen.witnesses:
                 lhs, rhs = tails[k - 1], level[k - 1]
-                if not lhs < rhs:
+                if not ints[k - 1] < level_ints[k - 1]:
                     raise SoundnessFailureError(
                         f"support point {z} violates the k={k} inequality: {lhs} >= {rhs}"
                     )

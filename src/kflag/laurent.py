@@ -13,7 +13,7 @@ import heapq
 import itertools
 import re
 from operator import add, itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import InvalidInputError, NotDivisibleError
 from .perm import Permutation
@@ -406,24 +406,13 @@ def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
 # -- the determinant-relation zero test ---------------------------------------
 
 
-def vanishes_mod_det(yterms: Iterable[tuple[Sequence[int], int]]) -> bool:
-    """Whether the sum of c * y^e over (e, c) in yterms is 0 modulo (y_1 * ... * y_n - 1).
+def canonical_zero_test(f: LaurentPoly) -> bool:
+    """Whether a y-only polynomial vanishes modulo (y_1 * ... * y_n - 1).
 
     Eliminates y_n via y_n -> (y_1 ... y_{n-1})^{-1}, which maps y^e to the
     monomial with exponents e_j - e_n, and checks that the result is
     identically zero; this decides the question because the reduced ring is
     an integral domain.
-    """
-    acc: dict[tuple[int, ...], int] = {}
-    for yexp, c in yterms:
-        last = yexp[-1]
-        red = tuple([e - last for e in yexp])
-        acc[red] = acc.get(red, 0) + c
-    return not any(acc.values())
-
-
-def canonical_zero_test(f: LaurentPoly) -> bool:
-    """Whether a y-only polynomial vanishes modulo (y_1 * ... * y_n - 1).
 
     >>> n = 3
     >>> det = LaurentPoly(n, {(0, 0, 0, 1, 1, 1): 1}) - 1
@@ -433,7 +422,12 @@ def canonical_zero_test(f: LaurentPoly) -> bool:
     if not f.is_y_only():
         raise InvalidInputError("canonical zero test applies to y-only polynomials")
     n = f.n
-    return vanishes_mod_det((key[n:], c) for key, c in f.terms.items())
+    acc: dict[tuple[int, ...], int] = {}
+    for key, c in f.terms.items():
+        last = key[-1]
+        red = tuple([e - last for e in key[n:]])
+        acc[red] = acc.get(red, 0) + c
+    return not any(acc.values())
 
 
 # -- serialization -------------------------------------------------------------
@@ -496,33 +490,37 @@ def _render_factor(name: str, e: int) -> str:
     return name if e == 1 else f"{name}^{e}"
 
 
-def render_poly(f: LaurentPoly) -> str:
-    """Human-readable form: terms in canonical order, e.g. ``1 - y3*x1^-1``."""
+def _render_monomial(key: tuple[int, ...], n: int) -> str:
+    # positive powers first, then negative ones, x before y in each; "" for 1
+    names = [f"x{i}" for i in range(1, n + 1)] + [f"y{i}" for i in range(1, n + 1)]
+    factors = [_render_factor(v, e) for v, e in zip(names, key) if e > 0]
+    factors += [_render_factor(v, e) for v, e in zip(names, key) if e < 0]
+    return "*".join(factors)
+
+
+def render_poly(f: LaurentPoly, memo: dict | None = None) -> str:
+    """Human-readable form: terms in canonical order, e.g. ``1 - y3*x1^-1``.
+
+    ``memo`` maps exponent keys to rendered monomials. Calls that share one
+    memo render each distinct monomial once.
+    """
     if f.is_zero:
         return "0"
+    if memo is None:
+        memo = {}
     n = f.n
     parts: list[str] = []
     for key, coeff in f.sorted_terms():
-        factors: list[str] = []
-        for i in range(n):
-            if key[i] > 0:
-                factors.append(_render_factor(f"x{i + 1}", key[i]))
-        for i in range(n):
-            if key[n + i] > 0:
-                factors.append(_render_factor(f"y{i + 1}", key[n + i]))
-        for i in range(n):
-            if key[i] < 0:
-                factors.append(_render_factor(f"x{i + 1}", key[i]))
-        for i in range(n):
-            if key[n + i] < 0:
-                factors.append(_render_factor(f"y{i + 1}", key[n + i]))
+        mono = memo.get(key)
+        if mono is None:
+            mono = memo[key] = _render_monomial(key, n)
         mag = abs(coeff)
-        if not factors:
+        if not mono:
             body = str(mag)
         elif mag == 1:
-            body = "*".join(factors)
+            body = mono
         else:
-            body = f"{mag}*" + "*".join(factors)
+            body = f"{mag}*{mono}"
         if not parts:
             parts.append(body if coeff > 0 else f"-{body}")
         else:

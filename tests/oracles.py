@@ -6,7 +6,9 @@ divided differences, so the tests compare two genuinely different routes.
 The divided differences here go through the library's exact polynomial
 division (kept there for ``gkm.decompose``), which shares no code with
 ``kflag.ddo``. The variable relabellings rebuild each key one exponent at a
-time, without the library's precomputed getters.
+time, without the library's precomputed getters. Supports, decompositions
+and recompositions go point by point through ``gkm.restrict``, without the
+library's packed-key walk.
 """
 
 from __future__ import annotations
@@ -15,8 +17,11 @@ import itertools
 import random
 from fractions import Fraction
 
+from kflag.errors import NotDivisibleError, NotInSpanError
+from kflag.gkm import restrict
+from kflag.groth import permuted_grothendieck
 from kflag.laurent import LaurentPoly, exact_div
-from kflag.perm import Permutation
+from kflag.perm import Permutation, all_permutations
 
 # -- tuple permutation helpers (1-based images, independent of kflag.perm) ------
 
@@ -214,3 +219,80 @@ def top_by_subsets(n: int) -> LaurentPoly:
             key = tuple(key)
             terms[key] = terms.get(key, 0) + (-1) ** size
     return LaurentPoly(n, terms)
+
+
+# -- localization point by point ----------------------------------------------------
+
+
+def vanishes_mod_det(yterms) -> bool:
+    """Whether the sum of c * y^e over (e, c) in yterms is 0 modulo (y_1 * ... * y_n - 1).
+
+    y_n -> (y_1 ... y_{n-1})^{-1} maps y^e to the monomial with exponents
+    e_j - e_n; the reduced ring is an integral domain.
+    """
+    acc: dict[tuple[int, ...], int] = {}
+    for yexp, c in yterms:
+        last = yexp[-1]
+        red = tuple([e - last for e in yexp])
+        acc[red] = acc.get(red, 0) + c
+    return not any(acc.values())
+
+
+def _nonzero_at(terms, n: int, zpos: list[int]) -> bool:
+    # x_i -> y_{z(i)} adds the x_i exponent into slot zpos[i] of the y part
+    src = [0] * n
+    for i, p in enumerate(zpos):
+        src[p] = i
+    slots = [(n + j, src[j]) for j in range(n)]
+    return not vanishes_mod_det(
+        ([key[y] + key[x] for y, x in slots], c) for key, c in terms.items()
+    )
+
+
+def support_by_substitution(f: LaurentPoly) -> frozenset:
+    """The fixed points where f restricts to nonzero modulo the determinant
+    relation, substituting term by term at each point."""
+    n = f.n
+    return frozenset(
+        z for z in all_permutations(n) if _nonzero_at(f.terms, n, [v - 1 for v in z.images])
+    )
+
+
+def decompose_by_points(alpha, gamma: Permutation) -> dict:
+    """The triangular solve of ``gkm.decompose`` with one ``restrict`` call per
+    (basis class, point)."""
+    n = alpha.n
+    perms = list(all_permutations(n))
+    ginv = gamma.inverse()
+    order = sorted(perms, key=lambda w: (-(ginv * w).length(), w.images))
+    residue = dict(alpha.entries)
+    coeffs = {}
+    for w in order:
+        if residue[w].is_zero:
+            coeffs[w] = LaurentPoly.zero(n)
+            continue
+        gw = permuted_grothendieck(w, gamma)
+        try:
+            a_w = exact_div(residue[w], restrict(gw, w))
+        except NotDivisibleError as exc:
+            raise NotInSpanError(f"residue at {w} is not divisible") from exc
+        coeffs[w] = a_w
+        for z in perms:
+            rz = restrict(gw, z)
+            if not rz.is_zero:
+                residue[z] = residue[z] - a_w * rz
+    return coeffs
+
+
+def recompose_by_points(coeffs: dict, gamma: Permutation, n: int) -> dict:
+    """sum_w a_w * (localized class of (w, gamma)) with one ``restrict`` call per
+    (basis class, point); a dict from points to entries."""
+    perms = list(all_permutations(n))
+    entries = {z: LaurentPoly.zero(n) for z in perms}
+    for w, c in coeffs.items():
+        if c.is_zero:
+            continue
+        gw = permuted_grothendieck(w, gamma)
+        for z in perms:
+            entries[z] = entries[z] + c * restrict(gw, z)
+    return entries

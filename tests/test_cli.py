@@ -1,11 +1,14 @@
 import json
+import time
 
 import pytest
 
+from kflag import groth, kirwan
 from kflag.cli import main, restriction_class_from_json, restriction_class_to_json
+from kflag.errors import LimitExceededError
 from kflag.gkm import restrict_all
 from kflag.groth import top
-from kflag.laurent import poly_from_json
+from kflag.laurent import poly_from_json, render_poly
 
 
 def run(capsys, *argv):
@@ -61,6 +64,52 @@ class TestInputValidation:
     def test_sweep_bound_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "--n", "7")
         assert code == 2
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("an oversized input was run")
+
+
+class TestRankBounds:
+    """Oversized ranks are refused before any work, with exit 2 and the bound named."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["groth", "--n", "8", "--w", "8,7,6,5,4,3,2,1"],
+            ["groth", "--n", "8", "--w", "1,2,3,4,5,6,7,8", "--json"],
+            ["support", "--n", "8", "--w", "2,1,3,4,5,6,7,8"],
+            ["restrict", "--n", "9", "--w", "1,2,3,4,5,6,7,8,9", "--at", "1,2,3,4,5,6,7,8,9"],
+        ],
+    )
+    def test_classes_above_rank_seven(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(groth, "pi", _never)
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert "class bound 7" in err
+        assert not any(len(key) > 7 for key in groth._CACHE)
+
+    @pytest.mark.parametrize("command", ["regular", "kernel", "presentation"])
+    def test_weight_layer_above_rank_six(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(kirwan, "all_permutations", _never)
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, command, "--lambda", "6,4,2,0,-2,-4,-6", "--mu", "3,2,1,0,-1,-2,-3"
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert "weight-layer bound 6" in err
+
+    def test_library_refusals(self, monkeypatch):
+        monkeypatch.setattr(kirwan, "all_permutations", _never)
+        with pytest.raises(LimitExceededError, match="class bound 7"):
+            top(8)
+        lam = kirwan.WeightVector.staircase(7)
+        for fn in (kirwan.is_regular, kirwan.kernel_generators, kirwan.presentation):
+            with pytest.raises(LimitExceededError, match="weight-layer bound 6"):
+                fn(lam, lam)
 
 
 class TestDdoPipe:
@@ -272,6 +321,20 @@ class TestWeightCommands:
         code, _, err = run(capsys, "kernel", "--lambda", "1,0,-1", "--mu", "0,0,0")
         assert code == 3
         assert "wall" in err
+
+    def test_kernel_text_matches_per_generator_rendering(self, capsys):
+        # the command renders through one memo shared by all generators
+        lam, mu = "3,1,-1,-3", "31/97,17/97,-11/97,-37/97"
+        code, out, _ = run(capsys, "kernel", "--lambda", lam, "--mu", mu)
+        assert code == 0
+        gens = kirwan.kernel_generators(
+            kirwan.WeightVector.parse(lam), kirwan.WeightVector.parse(mu)
+        )
+        assert out.splitlines() == [
+            f"v={g.v.one_line()} gamma={g.gamma.one_line()}"
+            f" witnesses={','.join(map(str, g.witnesses))} poly={render_poly(g.poly)}"
+            for g in gens
+        ]
 
     def test_kernel_check_flag(self, capsys):
         code, out, _ = run(

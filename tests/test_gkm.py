@@ -2,6 +2,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kflag import gkm
 from kflag.cli import main as cli_main
@@ -26,9 +28,14 @@ from kflag.laurent import (
     elementary_symmetric,
     substitute,
 )
-from kflag.perm import Permutation, all_permutations, permuted_bruhat_leq
+from kflag.perm import Permutation, all_permutations, bruhat_leq, permuted_bruhat_leq
 
-from oracles import random_laurent
+from oracles import (
+    decompose_by_points,
+    random_laurent,
+    recompose_by_points,
+    support_by_substitution,
+)
 
 
 def yv(n, i):
@@ -164,6 +171,112 @@ class TestSupport:
             for gamma in all_permutations(n):
                 value = restrict(permuted_grothendieck(w, gamma), w)
                 assert not canonical_zero_test(value)
+
+
+def det_minus_one(n):
+    return LaurentPoly(n, {(0,) * n + (1,) * n: 1}) - 1
+
+
+def wide_laurent(rng, n, bound, size):
+    """Terms with exponents up to +-bound (extremes included) and coefficients beyond 2**64."""
+    terms = {}
+    for _ in range(size):
+        key = tuple(
+            rng.choice((-bound, bound, 0, rng.randint(-bound, bound))) for _ in range(2 * n)
+        )
+        terms[key] = rng.choice((1, -1)) * rng.randint(1, 1 << 70)
+    return LaurentPoly(n, terms)
+
+
+def assert_walk_matches_points(f):
+    """support against substitution, restrict_all against restrict at every point."""
+    assert support(f) == support_by_substitution(f)
+    alpha = restrict_all(f)
+    for z in all_permutations(f.n):
+        assert alpha.entries[z] == restrict(f, z), z
+
+
+class TestPackedWalk:
+    """The packed-key walk against the point-by-point routes."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+    def test_every_class_and_the_top_class(self, n):
+        for u in all_permutations(n):
+            assert_walk_matches_points(grothendieck(u))
+        assert_walk_matches_points(top(n))
+
+    @pytest.mark.parametrize("bound", [1, 3, 1000, 10**6])
+    def test_wide_exponents_and_coefficients(self, bound):
+        rng = random.Random(bound)
+        for n in (2, 3, 4):
+            for _ in range(3):
+                assert_walk_matches_points(wide_laurent(rng, n, bound, rng.randint(1, 12)))
+            # a class times a wide factor: cancellation at every point off the
+            # class's support, with a wide packing base
+            u = rng.choice(list(all_permutations(n)))
+            assert_walk_matches_points(grothendieck(u) * wide_laurent(rng, n, bound, 3))
+
+    def test_packing_base_bound(self):
+        rng = random.Random(5)
+        for bound in (0, 1, 2, 3, 7, 8, 1000, 10**6):
+            for n in (1, 3):
+                f = wide_laurent(rng, n, bound, 4)
+                m = max(abs(e) for key in f.terms for e in key)
+                b = gkm._packing_base(f)
+                assert b > 8 * m and b & (b - 1) == 0 and (b == 1 or b <= 16 * m)
+
+    def test_zero_polynomial(self):
+        for n in (1, 3):
+            zero = LaurentPoly.zero(n)
+            assert support(zero) == frozenset()
+            assert all(p.is_zero for p in restrict_all(zero).entries.values())
+
+    def test_rank_one(self):
+        # modulo y1 - 1 a rank-1 restriction is the sum of its coefficients
+        for f, supported in (
+            (LaurentPoly(1, {(2, -1): 3, (0, 5): -3}), False),
+            (LaurentPoly(1, {(2, -1): 3, (0, 5): -2}), True),
+            (LaurentPoly(1, {(-7, 0): 1 << 80}), True),
+        ):
+            assert (support(f) == frozenset({Permutation((1,))})) is supported
+            assert_walk_matches_points(f)
+
+    def test_multiples_of_the_determinant_relation_have_empty_support(self):
+        rng = random.Random(11)
+        for n in (1, 2, 3, 4, 5):
+            for h in (random_laurent(rng, n), wide_laurent(rng, n, 50, 4)):
+                f = h * det_minus_one(n)
+                assert support(f) == frozenset()
+                assert support_by_substitution(f) == frozenset()
+            assert support(top(n) * det_minus_one(n)) == frozenset()
+
+    def test_rank_six_sample(self):
+        rng = random.Random(6)
+        perms = list(all_permutations(6))
+        for u in [Permutation.identity(6)] + perms[::144][1:]:
+            f = grothendieck(u)
+            supp = support(f)
+            # the support is the lower Bruhat interval of u
+            assert supp == frozenset(v for v in perms if bruhat_leq(v, u))
+            alpha = restrict_all(f)
+            for z in rng.sample(perms, 6) + [u]:
+                value = restrict(f, z)
+                assert alpha.entries[z] == value
+                assert (z in supp) is not canonical_zero_test(value)
+
+    @settings(derandomize=True, deadline=None, database=None)
+    @given(st.data())
+    def test_support_is_the_literal_zero_test(self, data):
+        n = data.draw(st.integers(2, 5))
+        keys = st.tuples(*[st.integers(-4, 4)] * (2 * n))
+        terms = data.draw(st.dictionaries(keys, st.integers(-9, 9).filter(bool), max_size=10))
+        f = LaurentPoly(n, terms)
+        if data.draw(st.booleans()):
+            # products cancel at some points and not at others
+            f = f * grothendieck(data.draw(st.sampled_from(list(all_permutations(n)))))
+        assert support(f) == frozenset(
+            z for z in all_permutations(n) if not canonical_zero_test(restrict(f, z))
+        )
 
 
 #: sha256 of the stdout of ``kflag verify --n N --json``, recorded with the
@@ -325,3 +438,36 @@ class TestDecompose:
         alpha = restrict_all(top(2))
         with pytest.raises(InvalidInputError):
             decompose(alpha, Permutation.identity(3))
+
+
+class TestDecomposeAgainstPointRoute:
+    """decompose and recompose against the routes that restrict point by point."""
+
+    def test_round_trips_rank_four(self):
+        rng = random.Random(97)
+        n = 4
+        perms = list(all_permutations(n))
+        for _ in range(4):
+            gamma = rng.choice(perms)
+            chosen = rng.sample(perms, 3)
+            coeff_map = {w: random_y_monomial(rng, n) for w in chosen}
+            alpha = recompose(coeff_map, gamma, n)
+            assert alpha.entries == recompose_by_points(coeff_map, gamma, n)
+            coeffs = decompose(alpha, gamma)
+            assert coeffs == decompose_by_points(alpha, gamma)
+            for w in perms:
+                assert coeffs[w] == coeff_map.get(w, LaurentPoly.zero(n))
+
+    def test_product_class_rank_four(self):
+        # the shape of the benchmark's round trips: a product of two permuted classes
+        n = 4
+        gamma = Permutation((3, 1, 4, 2))
+        a = permuted_grothendieck(gamma * Permutation((1, 2, 4, 3)), gamma)
+        b = permuted_grothendieck(gamma * Permutation((2, 3, 1, 4)), gamma)
+        alpha = restrict_all(a * b)
+        coeffs = decompose(alpha, gamma)
+        assert coeffs == decompose_by_points(alpha, gamma)
+        back = recompose(coeffs, gamma, n)
+        assert back.entries == recompose_by_points(coeffs, gamma, n)
+        for z in all_permutations(n):
+            assert canonical_zero_test(back.entries[z] - alpha.entries[z])

@@ -300,3 +300,13 @@ class TestRendering:
     def test_coefficient_and_exponents(self):
         f = 2 * xv(2, 1) * xv(2, 1) * yv(2, 2) - 3
         assert render_poly(f) == "2*x1^2*y2 - 3"
+
+    def test_shared_memo_holds_each_monomial_once(self):
+        f = top(3) - 4 * yv(3, 1) * xv(3, 2)
+        memo = {}
+        assert render_poly(f, memo) == render_poly(f)
+        assert set(memo) == set(f.terms)
+        # a later call takes every monomial from the memo
+        marks = [f"<{i}>" for i in range(len(memo))]
+        rendered = render_poly(f, dict(zip(memo, marks)))
+        assert all(mark in rendered for mark in marks)
