@@ -193,10 +193,19 @@ class RestrictionClass:
             if not poly.is_y_only():
                 raise InvalidInputError(f"entry at {z} involves x-variables")
 
+    @classmethod
+    def _raw(cls, n: int, entries: dict[Permutation, LaurentPoly]) -> "RestrictionClass":
+        # internal: takes entries the library just built (one y-only poly of
+        # rank n per point of S_n) without checking them again
+        self = object.__new__(cls)
+        self.n = n
+        self.entries = entries
+        return self
+
 
 def restrict_all(f: LaurentPoly) -> RestrictionClass:
     """Restrict at every fixed point of S_n."""
-    return RestrictionClass(f.n, dict(zip(all_permutations(f.n), _restrictions(f))))
+    return RestrictionClass._raw(f.n, dict(zip(all_permutations(f.n), _restrictions(f))))
 
 
 def support(f: LaurentPoly) -> SupportSet:
@@ -400,4 +409,4 @@ def recompose(
         for z, rz in zip(perms, _restrictions(permuted_grothendieck(w, gamma))):
             if not rz.is_zero:
                 entries[z] = entries[z] + c * rz
-    return RestrictionClass(n, entries)
+    return RestrictionClass._raw(n, entries)

@@ -246,17 +246,9 @@ def _slot_getter(sigma: Permutation, offset: int) -> itemgetter:
     return itemgetter(*slots)
 
 
-def _relabel(f: LaurentPoly, get: itemgetter, pool: dict | None = None) -> LaurentPoly:
-    """f with each key k replaced by get(k), a bijection on keys.
-
-    With a pool, each new key is interned in it (pool.setdefault(k, k)), so
-    the polynomials relabelled through one pool share equal key tuples.
-    """
-    keys = map(get, f.terms)
-    if pool is not None:
-        keys = list(keys)
-        keys = map(pool.setdefault, keys, keys)
-    return LaurentPoly._raw(f.n, dict(zip(keys, f.terms.values())))
+def _relabel(f: LaurentPoly, get: itemgetter) -> LaurentPoly:
+    """f with each key k replaced by get(k), a bijection on keys."""
+    return LaurentPoly._raw(f.n, dict(zip(map(get, f.terms), f.terms.values())))
 
 
 def _permute(sigma: Permutation, f: LaurentPoly, offset: int) -> LaurentPoly:

@@ -5,10 +5,10 @@ import pytest
 
 from kflag import groth, kirwan
 from kflag.cli import main, restriction_class_from_json, restriction_class_to_json
-from kflag.errors import LimitExceededError
+from kflag.errors import InvalidInputError, LimitExceededError
 from kflag.gkm import restrict_all
 from kflag.groth import top
-from kflag.laurent import poly_from_json, render_poly
+from kflag.laurent import poly_from_json, poly_to_json, render_poly
 
 
 def run(capsys, *argv):
@@ -279,6 +279,15 @@ class TestDecompose:
         )
         assert code == 2
         assert out == ""
+
+    def test_class_parser_rejects_missing_point_and_x_terms(self):
+        data = restriction_class_to_json(restrict_all(top(3)))
+        partial = {"n": 3, "entries": data["entries"][:-1]}
+        with_x = json.loads(json.dumps(data))
+        with_x["entries"][2]["poly"] = poly_to_json(top(3))
+        for bad, message in [(partial, "one entry per element"), (with_x, "x-variables")]:
+            with pytest.raises(InvalidInputError, match=message):
+                restriction_class_from_json(bad)
 
     def test_class_json_roundtrip(self):
         alpha = restrict_all(top(3))

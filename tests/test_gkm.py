@@ -127,6 +127,16 @@ class TestRestrictAll:
         with pytest.raises(InvalidInputError):
             RestrictionClass(3, entries)
 
+    def test_library_classes_pass_public_validation(self):
+        # restrict_all and recompose skip the checks of RestrictionClass(...);
+        # what they build must pass them
+        gamma = Permutation((2, 4, 1, 3))
+        alphas = [restrict_all(grothendieck(u)) for u in all_permutations(4)]
+        coeffs = {gamma: LaurentPoly.y(4, 2), Permutation.identity(4): 1 - LaurentPoly.y(4, 1)}
+        alphas.append(recompose(coeffs, gamma, 4))
+        for alpha in alphas:
+            assert RestrictionClass(alpha.n, alpha.entries) == alpha
+
 
 class TestSupport:
     def test_paper_example(self):

@@ -35,15 +35,16 @@ def tail_pairs_by_eta(lam, mu):
     """(v, gamma, [(k, lam tail over v, mu tail over gamma)]) for every pair, in
     lexicographic order, with both tail sums as eta_value Fractions."""
     perms = list(all_permutations(lam.n))
-    return [
-        (v, g, [(k, eta_value(v, k, lam), eta_value(g, k, mu)) for k in range(1, lam.n)])
-        for v in perms
-        for g in perms
-    ]
+    cuts = range(1, lam.n)
+    lam_tails = {v: [eta_value(v, k, lam) for k in cuts] for v in perms}
+    mu_tails = {g: [eta_value(g, k, mu) for k in cuts] for g in perms}
+    return [(v, g, list(zip(cuts, lam_tails[v], mu_tails[g]))) for v in perms for g in perms]
 
 
 # thirds against sevenths: the integer tail sums are scaled by D = 21
 MIXED_LAM, MIXED_MU = "2,1/3,-2/3,-5/3", "3/7,1/7,-1/7,-3/7"
+# the staircase at rank 5: 11,520 generators over 105 base classes
+RANK5_LAM, RANK5_MU = "4,2,0,-2,-4", "31/97,17/97,5/97,-11/97,-42/97"
 
 
 class TestWeightVector:
@@ -289,30 +290,46 @@ class TestKernelGenerators:
     @pytest.mark.parametrize(
         "lam, mu",
         [
+            # v = (2,1) qualifies: its base class G_{w0} = 1 has a single term
+            ("1/2,-1/2", "3/4,-3/4"),
             ("1,0,-1", "1/4,1/8,-3/8"),
             ("3,1,-1,-3", "31/97,17/97,-11/97,-37/97"),
             (MIXED_LAM, MIXED_MU),
+            pytest.param(RANK5_LAM, RANK5_MU, marks=pytest.mark.slow),
         ],
-        ids=["rank3", "rank4", "rank4-mixed"],
+        ids=["rank2", "rank3", "rank4", "rank4-mixed", "rank5"],
     )
     def test_matches_per_pair_route(self, lam, mu):
         # oracle: witnesses from eta_value Fractions, polynomials relabelled
-        # one exponent at a time, pair by pair
+        # one exponent at a time, pair by pair; the terms must also come in
+        # the order of the base class
         lam, mu = W(lam), W(mu)
         expected = []
         for v, g, tails in tail_pairs_by_eta(lam, mu):
             ks = tuple(k for k, a, b in tails if a < b)
             if ks:
                 poly = permute_y_by_terms(g, grothendieck(v.inverse()))
-                expected.append((v, g, ks, poly.terms))
+                expected.append((v, g, ks, list(poly.terms.items())))
         gens = kernel_generators(lam, mu)
-        assert [(g.v, g.gamma, g.witnesses, g.poly.terms) for g in gens] == expected
-        assert len(gens) == {3: 24, 4: 432}[lam.n]
+        got = [(g.v, g.gamma, g.witnesses, list(g.poly.terms.items())) for g in gens]
+        assert got == expected
+        assert len(gens) == {2: 2, 3: 24, 4: 432, 5: 11520}[lam.n]
+        if lam.n == 2:
+            assert [len(g.poly.terms) for g in gens] == [2, 1]
 
-    def test_generators_share_key_tuples(self):
-        lam, mu = W("3,1,-1,-3"), W("31/97,17/97,-11/97,-37/97")
-        keys = [k for gen in kernel_generators(lam, mu) for k in gen.poly.terms]
+    @pytest.mark.parametrize(
+        "lam, mu",
+        [
+            ("3,1,-1,-3", "31/97,17/97,-11/97,-37/97"),
+            pytest.param(RANK5_LAM, RANK5_MU, marks=pytest.mark.slow),
+        ],
+        ids=["rank4", "rank5"],
+    )
+    def test_generators_share_key_tuples(self, lam, mu):
+        keys = [k for gen in kernel_generators(W(lam), W(mu)) for k in gen.poly.terms]
         assert len({id(k) for k in keys}) == len(set(keys)) < len(keys)
+        if W(lam).n == 5:
+            assert (len(set(keys)), len(keys)) == (9366, 1085892)
 
     def test_jobs_do_not_change_output(self):
         lam, mu = W("1,0,-1"), W("1/4,1/8,-3/8")
@@ -416,6 +433,14 @@ class TestSoundness:
             with pytest.raises(InvalidInputError):
                 half_space_soundness(bad, lam, mu)
 
+    def test_rank_one_generator_without_witnesses(self):
+        # a single support point and no cut: nothing to check, and the
+        # one-slot pick of gamma * p must still give a permutation
+        one = Permutation.identity(1)
+        gen = KernelGenerator(one, one, (), grothendieck(one))
+        (cert,) = kernel_soundness((gen,), W("0"), W("0"))
+        assert cert.generator == gen and cert.checks == ()
+
     def test_gamma_of_another_rank_refused(self):
         lam, mu = W("1,0,-1"), W("1/4,1/8,-3/8")
         gen = kernel_generators(lam, mu)[0]
@@ -425,7 +450,7 @@ class TestSoundness:
 
     @pytest.mark.slow
     def test_rank_five_kernel_is_sound(self):
-        lam, mu = W("4,2,0,-2,-4"), W("31/97,17/97,5/97,-11/97,-42/97")
+        lam, mu = W(RANK5_LAM), W(RANK5_MU)
         gens = kernel_generators(lam, mu)
         certs = kernel_soundness(gens, lam, mu)
         assert len(certs) == 11520
