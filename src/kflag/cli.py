@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import islice
 from typing import Sequence
 
 from . import gkm, groth, kirwan
@@ -26,7 +25,13 @@ from .errors import (
     NotRegularError,
     SoundnessFailureError,
 )
-from .laurent import LaurentPoly, poly_from_json, poly_to_json, render_poly
+from .laurent import (
+    LaurentPoly,
+    poly_from_json,
+    polys_to_json,
+    render_poly,
+    write_json,
+)
 from .perm import Permutation
 
 _CYCLE_HINT = (
@@ -51,22 +56,17 @@ def _parse_gamma(args, n: int) -> Permutation:
     return _parse_permutation(args.gamma, n)
 
 
-def _emit_json(obj, fh=None) -> None:
-    # the same text as json.dumps(obj, indent=2) plus a newline, written in
-    # batches of the encoder's chunks: the whole text of a rank-5 report would
-    # be one string of tens of MB, and one write per chunk is one system call
-    # per chunk on an unbuffered stream (PYTHONUNBUFFERED)
+def _emit_json(tree, fh=None) -> None:
+    # the text of json.dumps(polys_to_json(tree), indent=2) plus a newline
     if fh is None:
         fh = sys.stdout
-    chunks = json.JSONEncoder(indent=2).iterencode(obj)
-    while batch := "".join(islice(chunks, 1 << 16)):
-        fh.write(batch)
+    write_json(tree, fh)
     fh.write("\n")
 
 
 def _print_poly(args, poly: LaurentPoly) -> None:
     if args.json:
-        _emit_json(poly_to_json(poly))
+        _emit_json(poly)
     else:
         print(render_poly(poly))
 
@@ -156,9 +156,7 @@ def _cmd_decompose(args) -> int:
     coeffs = gkm.decompose(alpha, gamma)
     items = sorted(coeffs.items(), key=lambda kv: kv[0].images)
     if args.json:
-        _emit_json(
-            [{"w": list(w.images), "coeff": poly_to_json(c)} for w, c in items]
-        )
+        _emit_json([{"w": list(w.images), "coeff": c} for w, c in items])
     else:
         for w, c in items:
             print(f"{w.one_line()}: {render_poly(c)}")
@@ -188,7 +186,7 @@ def _cmd_kernel(args) -> int:
     if args.check:
         kirwan.kernel_soundness(gens, lam, mu)
     if args.json:
-        _emit_json([gen.to_json_obj() for gen in gens])
+        _emit_json([gen.json_tree() for gen in gens])
     else:
         # the generators share their key tuples, so one memo renders each
         # distinct monomial once
@@ -205,15 +203,15 @@ def _cmd_kernel(args) -> int:
 def _cmd_presentation(args) -> int:
     lam = kirwan.WeightVector.parse(args.lam)
     mu = kirwan.WeightVector.parse(args.mu)
-    obj = kirwan.presentation(lam, mu).to_json_obj()
+    tree = kirwan.presentation(lam, mu).json_tree()
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                _emit_json(obj, fh)
+                _emit_json(tree, fh)
         except OSError as exc:
             raise InvalidInputError(f"cannot write {args.out!r}: {exc}") from exc
     else:
-        _emit_json(obj)
+        _emit_json(tree)
     return 0
 
 
@@ -227,6 +225,10 @@ def restriction_class_from_json(data) -> gkm.RestrictionClass:
             raise TypeError("'n' must be an integer")
     except (KeyError, TypeError) as exc:
         raise InvalidInputError("class file must carry 'n' and 'entries'") from exc
+    if not isinstance(raw_entries, list):
+        raise InvalidInputError(
+            f"class file 'entries' must be an array, got {type(raw_entries).__name__}"
+        )
     entries = {}
     for item in raw_entries:
         try:
@@ -251,13 +253,13 @@ def restriction_class_from_json(data) -> gkm.RestrictionClass:
 
 
 def restriction_class_to_json(alpha: gkm.RestrictionClass) -> dict:
-    return {
+    return polys_to_json({
         "n": alpha.n,
         "entries": [
-            {"z": list(z.images), "poly": poly_to_json(alpha.entries[z])}
+            {"z": list(z.images), "poly": alpha.entries[z]}
             for z in sorted(alpha.entries, key=lambda p: p.images)
         ],
-    }
+    })
 
 
 # -- parser ----------------------------------------------------------------------

@@ -38,7 +38,7 @@ from .laurent import (
     LaurentPoly,
     _slot_getter,
     elementary_symmetric,
-    poly_to_json,
+    polys_to_json,
 )
 from .perm import Permutation, act_on_weights, all_permutations
 
@@ -248,13 +248,18 @@ class KernelGenerator:
     witnesses: tuple[int, ...]
     poly: LaurentPoly
 
-    def to_json_obj(self) -> dict:
+    def json_tree(self) -> dict:
+        """The JSON object with the polynomial left as a LaurentPoly leaf
+        (see laurent.write_json)."""
         return {
             "v": list(self.v.images),
             "gamma": list(self.gamma.images),
             "witness_k": list(self.witnesses),
-            "poly": poly_to_json(self.poly),
+            "poly": self.poly,
         }
+
+    def to_json_obj(self) -> dict:
+        return polys_to_json(self.json_tree())
 
 
 def _picker(slots: list[int]):
@@ -420,13 +425,18 @@ class Presentation:
     det_relation: LaurentPoly
     kernel: tuple[KernelGenerator, ...]
 
-    def to_json_obj(self) -> dict:
+    def json_tree(self) -> dict:
+        """The JSON object with the polynomials left as LaurentPoly leaves
+        (see laurent.write_json)."""
         return {
             "n": self.n,
-            "ideal_I": [poly_to_json(p) for p in self.ideal_i],
-            "det_relation": poly_to_json(self.det_relation),
-            "kernel": [gen.to_json_obj() for gen in self.kernel],
+            "ideal_I": list(self.ideal_i),
+            "det_relation": self.det_relation,
+            "kernel": [gen.json_tree() for gen in self.kernel],
         }
+
+    def to_json_obj(self) -> dict:
+        return polys_to_json(self.json_tree())
 
 
 def det_relation(n: int) -> LaurentPoly:

@@ -6,9 +6,10 @@ import pytest
 from kflag import groth, kirwan
 from kflag.cli import main, restriction_class_from_json, restriction_class_to_json
 from kflag.errors import InvalidInputError, LimitExceededError
-from kflag.gkm import restrict_all
+from kflag.gkm import decompose, restrict_all
 from kflag.groth import top
 from kflag.laurent import poly_from_json, poly_to_json, render_poly
+from kflag.perm import Permutation
 
 
 def run(capsys, *argv):
@@ -250,6 +251,23 @@ class TestDecompose:
         assert "1,2,3: 1" in lines
         assert all(line.endswith(": 0") for line in lines if not line.startswith("1,2,3"))
 
+    def test_json_output_is_the_stdlib_text(self, capsys, tmp_path):
+        alpha = restrict_all(top(3))
+        class_file = tmp_path / "class.json"
+        class_file.write_text(json.dumps(restriction_class_to_json(alpha)))
+        code, out, _ = run(
+            capsys,
+            "decompose", "--n", "3", "--gamma", "2,3,1", "--class", str(class_file),
+            "--json",
+        )
+        assert code == 0
+        coeffs = decompose(alpha, Permutation((2, 3, 1)))
+        expected = [
+            {"w": list(w.images), "coeff": poly_to_json(coeffs[w])}
+            for w in sorted(coeffs, key=lambda p: p.images)
+        ]
+        assert out == json.dumps(expected, indent=2) + "\n"
+
     def test_class_file_parser_rejects_bad_rank(self, capsys, tmp_path):
         alpha = restrict_all(top(2))
         class_file = tmp_path / "class.json"
@@ -288,6 +306,18 @@ class TestDecompose:
         for bad, message in [(partial, "one entry per element"), (with_x, "x-variables")]:
             with pytest.raises(InvalidInputError, match=message):
                 restriction_class_from_json(bad)
+
+    @pytest.mark.parametrize(
+        "entries", [5, None, "entries", {"z": [1, 2]}], ids=["int", "null", "string", "object"]
+    )
+    def test_class_file_entries_not_an_array_exit_2(self, capsys, tmp_path, entries):
+        class_file = tmp_path / "class.json"
+        class_file.write_text(json.dumps({"n": 2, "entries": entries}))
+        code, out, err = run(
+            capsys, "decompose", "--n", "2", "--gamma", "1,2", "--class", str(class_file)
+        )
+        assert (code, out) == (2, "")
+        assert "'entries' must be an array" in err
 
     def test_class_json_roundtrip(self):
         alpha = restrict_all(top(3))
@@ -344,6 +374,19 @@ class TestWeightCommands:
             f" witnesses={','.join(map(str, g.witnesses))} poly={render_poly(g.poly)}"
             for g in gens
         ]
+
+    @pytest.mark.parametrize(
+        "lam, mu",
+        [("1,0,-1", "1/4,1/8,-3/8"), ("3,1,-1,-3", "31/97,17/97,-11/97,-37/97")],
+        ids=["rank3", "rank4"],
+    )
+    def test_kernel_json_parses_to_the_generators(self, capsys, lam, mu):
+        code, out, _ = run(capsys, "kernel", "--lambda", lam, "--mu", mu, "--json")
+        assert code == 0
+        gens = kirwan.kernel_generators(
+            kirwan.WeightVector.parse(lam), kirwan.WeightVector.parse(mu)
+        )
+        assert json.loads(out) == [g.to_json_obj() for g in gens]
 
     def test_kernel_check_flag(self, capsys):
         code, out, _ = run(

@@ -304,6 +304,48 @@ def _verify_json_sha256(capsys, n):
     return hashlib.sha256(out.encode()).hexdigest()
 
 
+#: sha256 of the stdout of the rank-4 weight-layer JSON commands at
+#: --lambda 3,1,-1,-3 --mu 31/97,17/97,-11/97,-37/97, recorded when the CLI
+#: still encoded through json.JSONEncoder(indent=2)
+WEIGHT_JSON_SHA256 = {
+    "kernel": "e233e4b034d66335a4e965f6fa1f572989bdb221a452d7b79ab069eba5d7abf8",
+    "presentation": "aca41d2db724694a206de8005ae95302090889c09643e75d232925941b41f364",
+}
+RANK4_WEIGHTS = ["--lambda", "3,1,-1,-3", "--mu", "31/97,17/97,-11/97,-37/97"]
+#: the same for the rank-5 presentation (279,929,806 bytes) at
+#: --lambda 4,2,0,-2,-4 --mu 31/97,17/97,5/97,-11/97,-42/97
+RANK5_PRESENTATION_SHA256 = "75fe6a306eae028f9527ef49722d9c2c5f3c4a7dc98a080d469190fbb3c64bca"
+
+
+class TestWeightJsonBytes:
+    def test_rank_four_kernel_check_json(self, capsys):
+        code = cli_main(["kernel", *RANK4_WEIGHTS, "--check", "--json"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == WEIGHT_JSON_SHA256["kernel"]
+
+    def test_rank_four_presentation(self, capsys):
+        code = cli_main(["presentation", *RANK4_WEIGHTS])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert (
+            hashlib.sha256(out.encode()).hexdigest() == WEIGHT_JSON_SHA256["presentation"]
+        )
+
+    @pytest.mark.slow
+    def test_rank_five_presentation(self, tmp_path):
+        # through --out: 280 MB captured from stdout would be held in memory
+        target = tmp_path / "pres.json"
+        weights = ["--lambda", "4,2,0,-2,-4", "--mu", "31/97,17/97,5/97,-11/97,-42/97"]
+        assert cli_main(["presentation", *weights, "--out", str(target)]) == 0
+        digest = hashlib.sha256()
+        with open(target, "rb") as fh:
+            while chunk := fh.read(1 << 20):
+                digest.update(chunk)
+        target.unlink()
+        assert digest.hexdigest() == RANK5_PRESENTATION_SHA256
+
+
 class TestVerifySweep:
     def test_rank_one(self):
         report = verify_support_theorem(1)

@@ -21,7 +21,7 @@ from kflag.kirwan import (
     moment_image,
     presentation,
 )
-from kflag.laurent import LaurentPoly, elementary_symmetric
+from kflag.laurent import LaurentPoly, elementary_symmetric, poly_to_json
 from kflag.perm import Permutation, all_permutations, permuted_bruhat_leq
 
 from oracles import permute_y_by_terms
@@ -500,6 +500,24 @@ class TestPresentation:
     def test_not_regular_propagates(self):
         with pytest.raises(NotRegularError):
             presentation(W("1,0,-1"), W("0,0,0"))
+
+    def test_json_obj_has_term_lists(self):
+        pres = presentation(W("1,0,-1"), W("1/4,1/8,-3/8"))
+        assert pres.to_json_obj() == {
+            "n": 3,
+            "ideal_I": [poly_to_json(p) for p in pres.ideal_i],
+            "det_relation": poly_to_json(pres.det_relation),
+            "kernel": [
+                {
+                    "v": list(g.v.images),
+                    "gamma": list(g.gamma.images),
+                    "witness_k": list(g.witnesses),
+                    "poly": poly_to_json(g.poly),
+                }
+                for g in pres.kernel
+            ],
+        }
+        assert pres.kernel[0].to_json_obj() == pres.to_json_obj()["kernel"][0]
 
     def test_rank_one_degenerate(self):
         pres = presentation(W("0"), W("0"))

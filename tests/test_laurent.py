@@ -1,9 +1,13 @@
+import io
 import json
 import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kflag.cli import restriction_class_to_json
 from kflag.errors import InvalidInputError, NotDivisibleError
 from kflag.laurent import (
     LaurentPoly,
@@ -14,10 +18,14 @@ from kflag.laurent import (
     permute_y,
     poly_from_json,
     poly_to_json,
+    polys_to_json,
     render_poly,
     substitute,
+    write_json,
 )
+from kflag.gkm import restrict_all
 from kflag.groth import top
+from kflag.kirwan import WeightVector, is_regular
 from kflag.perm import Permutation, all_permutations
 
 from oracles import (
@@ -58,6 +66,11 @@ class TestBasics:
     def test_rank_mismatch(self):
         with pytest.raises(InvalidInputError):
             xv(2, 1) + xv(3, 1)
+
+    def test_boolean_exponents_refused(self):
+        # poly_to_json would write them as true/false, which poly_from_json refuses
+        with pytest.raises(InvalidInputError):
+            LaurentPoly(1, {(True, 0): 1})
 
     def test_big_coefficients_stay_exact(self):
         big = 10**30
@@ -284,6 +297,82 @@ class TestSerialization:
     def test_big_coefficients_as_strings(self):
         f = (10**25) * xv(1, 1)
         assert poly_to_json(f)[0]["coeff"] == str(10**25)
+
+
+def written(tree) -> str:
+    out = io.StringIO()
+    write_json(tree, out)
+    return out.getvalue()
+
+
+def dumped(tree) -> str:
+    # the oracle: the stdlib encoder on the term lists of poly_to_json
+    return json.dumps(polys_to_json(tree), indent=2)
+
+
+@st.composite
+def poly_trees(draw):
+    """A polynomial wrapped in 0-4 levels of lists and dicts, next to its
+    negative and a copy one level deeper, so the memo meets the same keys at
+    several depths within one call."""
+    n = draw(st.integers(1, 5))
+    keys = st.tuples(*[st.integers(-4, 4)] * (2 * n))
+    coeffs = st.integers(-(2**70), 2**70).filter(bool)
+    f = LaurentPoly(n, draw(st.dictionaries(keys, coeffs, max_size=6)))
+    tree = [f, -f, {"again": [f]}, list(range(draw(st.integers(0, 3))))]
+    for _ in range(draw(st.integers(0, 4))):
+        tree = draw(st.sampled_from([[tree], {"tree": tree, "n": n}, (tree, [])]))
+    return tree
+
+
+class TestWriteJson:
+    @pytest.mark.parametrize(
+        "tree",
+        [
+            LaurentPoly.zero(3),
+            [LaurentPoly.zero(1), {"zero": LaurentPoly.zero(2)}],
+            xv(1, 1) - 7 * yv(1, 1) + 1,
+            1 - yv(3, 3) * LaurentPoly.monomial(3, 1, xexp=(-1, 0, -2)),
+            {"big": 2**64 * xv(2, 2) - (2**80 + 1) * yv(2, 1), "small": -3 * xv(2, 1)},
+            [[], {}, [[]], {"a": {}}, ()],
+            {"s": "t\u00e9\"x\"\n", "t": True, "f": False, "none": None,
+             "ints": [1, -2, 2**70], "mixed": [1, True, None], "tuple": (3, 4)},
+        ],
+        ids=["zero", "zero-nested", "rank-1", "negative-exponents",
+             "beyond-2^64", "empty-containers", "plain-values"],
+    )
+    def test_matches_json_dumps(self, tree):
+        assert written(tree) == dumped(tree)
+
+    def test_top_class_at_several_depths(self):
+        f = top(4)
+        tree = {"n": 4, "polys": [f, [f, {"f": f}], -f], "f": f}
+        assert written(tree) == dumped(tree)
+
+    def test_regularity_certificate_with_walls(self):
+        lam, mu = WeightVector.parse("2/3,1/7,-17/21"), WeightVector.parse("2/3,-1/3,-1/3")
+        obj = is_regular(lam, mu).to_json_obj()
+        assert obj["walls"]
+        assert written(obj) == json.dumps(obj, indent=2)
+
+    def test_restriction_class(self):
+        alpha = restrict_all(top(3))
+        obj = restriction_class_to_json(alpha)
+        assert written(obj) == json.dumps(obj, indent=2)
+        tree = {"n": 3, "entries": [{"z": list(z.images), "poly": alpha.entries[z]}
+                                    for z in sorted(alpha.entries, key=lambda p: p.images)]}
+        assert written(tree) == json.dumps(obj, indent=2)
+
+    def test_refuses_what_json_cannot_hold(self):
+        with pytest.raises(TypeError):
+            written({1: "a"})
+        with pytest.raises(TypeError):
+            written([1.5])
+
+    @settings(derandomize=True, deadline=None, database=None)
+    @given(poly_trees())
+    def test_random_trees_match_json_dumps(self, tree):
+        assert written(tree) == dumped(tree)
 
 
 class TestRendering:
