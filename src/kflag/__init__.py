@@ -26,7 +26,6 @@ from .perm import (
     canonical_reduced_word,
     compose,
     permuted_bruhat_leq,
-    word_to_permutation,
 )
 from .laurent import (
     LaurentPoly,
@@ -38,13 +37,11 @@ from .laurent import (
     poly_from_json,
     poly_to_json,
     render_poly,
-    substitute,
 )
-from .ddo import apply_pi_word, delta, pi, pi_word
+from .ddo import delta, pi
 from .groth import (
     grothendieck,
     permuted_grothendieck,
-    permuted_grothendieck_by_word,
     top,
 )
 from .gkm import (

@@ -21,7 +21,6 @@ from .errors import (
     InvalidInputError,
     KflagError,
     NotDivisibleError,
-    NotInSpanError,
     NotRegularError,
     SoundnessFailureError,
 )
@@ -246,9 +245,10 @@ def restriction_class_from_json(data) -> gkm.RestrictionClass:
             raise InvalidInputError(f"malformed class entry {item!r}") from exc
         if z in entries:
             raise InvalidInputError(f"duplicate class entry at {z.one_line()}")
-        entries[z] = (
-            LaurentPoly.zero(n) if not terms else poly_from_json(terms)
-        )
+        # only [] is the zero polynomial; 0, null, "" and {} are refused
+        if not isinstance(terms, list):
+            raise InvalidInputError(f"class entry 'poly' at {z.one_line()} must be an array")
+        entries[z] = poly_from_json(terms) if terms else LaurentPoly.zero(n)
     return gkm.RestrictionClass(n, entries)
 
 
@@ -369,9 +369,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (InternalInvariantError, SoundnessFailureError, NotDivisibleError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    except (InvalidInputError, NotInSpanError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except KflagError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

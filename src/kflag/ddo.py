@@ -11,19 +11,16 @@ delta_i. The term maps to
 * 0 if a = b,
 * minus the mirrored sum ``sum_{k=a}^{b-1}`` if a < b,
 
-which holds for negative exponents too. Operator words apply their
-rightmost letter first, so ``pi_word(w, f)`` with the canonical reduced
-word (i_1, ..., i_l) of w computes pi_{i_1}(pi_{i_2}(... pi_{i_l}(f) ...));
-the result is independent of the choice of reduced word.
+which holds for negative exponents too. Operator words are not built
+here: ``groth.grothendieck`` applies one ``pi`` per cached step, and the
+operator-word routes, which apply ``pi`` along a reduced word, rightmost
+letter first, are test oracles.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from .errors import InvalidInputError
 from .laurent import LaurentPoly
-from .perm import Permutation, canonical_reduced_word
 
 
 def _divided_difference(i: int, f: LaurentPoly, shift: int) -> LaurentPoly:
@@ -67,17 +64,3 @@ def pi(i: int, f: LaurentPoly) -> LaurentPoly:
     'x2^-1 + x1^-1'
     """
     return _divided_difference(i, f, 1)
-
-
-def apply_pi_word(letters: Iterable[int], f: LaurentPoly) -> LaurentPoly:
-    """Apply pi operators along an explicit word, rightmost letter first."""
-    for i in reversed(tuple(letters)):
-        f = pi(i, f)
-    return f
-
-
-def pi_word(w: Permutation, f: LaurentPoly) -> LaurentPoly:
-    """Apply the operator word of w (via its canonical reduced word) to f."""
-    if w.n != f.n:
-        raise InvalidInputError(f"rank mismatch: {w.n} vs {f.n}")
-    return apply_pi_word(canonical_reduced_word(w), f)

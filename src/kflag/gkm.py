@@ -299,7 +299,7 @@ def _progress(done: int, total: int) -> None:
     print(f"[verify] {done}/{total} pairs checked", file=sys.stderr, flush=True)
 
 
-def verify_support_theorem(n: int, jobs: int = 1) -> SweepReport:
+def verify_support_theorem(n: int) -> SweepReport:
     """Exhaustively compare supports with permuted Bruhat intervals over S_n x S_n.
 
     For every pair (w, gamma) the support of the permuted class of (w, gamma)
@@ -310,7 +310,7 @@ def verify_support_theorem(n: int, jobs: int = 1) -> SweepReport:
     support of G_u and the interval [e, u] are computed once per u and
     left-multiplied by gamma, by restrict(permute_y(gamma, f), z) =
     permute_y(gamma, restrict(f, gamma^{-1}z)) and the S_n-invariance of the
-    determinant relation. ``jobs`` is accepted and ignored.
+    determinant relation.
     """
     if n < 1:
         raise InvalidInputError(f"rank must be positive, got {n}")

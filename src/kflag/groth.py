@@ -14,7 +14,7 @@ Cached values are treated as immutable.
 
 from __future__ import annotations
 
-from .ddo import pi, pi_word
+from .ddo import pi
 from .errors import InvalidInputError, LimitExceededError
 from .laurent import LaurentPoly, permute_y
 from .perm import Permutation
@@ -86,13 +86,6 @@ def permuted_grothendieck(w: Permutation, gamma: Permutation) -> LaurentPoly:
     if gamma.is_identity():
         return grothendieck(w)
     return permute_y(gamma, grothendieck(gamma.inverse() * w))
-
-
-def permuted_grothendieck_by_word(w: Permutation, gamma: Permutation) -> LaurentPoly:
-    """The defining operator-word route; slower, kept for cross-validation."""
-    if w.n != gamma.n:
-        raise InvalidInputError(f"rank mismatch: {w.n} vs {gamma.n}")
-    return pi_word(w.inverse() * gamma, permute_y(gamma, top(w.n)))
 
 
 def clear_cache() -> None:

@@ -271,15 +271,12 @@ def _picker(slots: list[int]):
     return itemgetter(*slots)
 
 
-def kernel_generators(
-    lam: WeightVector, mu: WeightVector, jobs: int = 1
-) -> tuple[KernelGenerator, ...]:
+def kernel_generators(lam: WeightVector, mu: WeightVector) -> tuple[KernelGenerator, ...]:
     """All (v, gamma) with sum_{i>k} lam_{v(i)} < sum_{i>k} mu_{gamma(i)} for some k.
 
     Requires mu regular (wall avoidance) and lam generic; refuses to emit
     anything otherwise. One generator is returned per qualifying pair, with
     every qualifying k recorded, in lexicographic (v, gamma) order.
-    ``jobs`` is accepted and ignored.
     """
     cert, perms, lam_tails, mu_tails = _regularity(lam, mu)
     if not cert.regular:
@@ -444,11 +441,8 @@ def det_relation(n: int) -> LaurentPoly:
     return LaurentPoly(n, {(0,) * n + (1,) * n: 1}) - 1
 
 
-def presentation(lam: WeightVector, mu: WeightVector, jobs: int = 1) -> Presentation:
-    """Assemble the full generators-and-relations presentation for (lam, mu).
-
-    ``jobs`` is accepted and ignored.
-    """
+def presentation(lam: WeightVector, mu: WeightVector) -> Presentation:
+    """Assemble the full generators-and-relations presentation for (lam, mu)."""
     kernel = kernel_generators(lam, mu)
     n = lam.n
     variables = tuple(f"x{i}" for i in range(1, n + 1)) + tuple(

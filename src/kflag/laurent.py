@@ -42,7 +42,8 @@ class LaurentPoly:
                 # integers only: a boolean exponent would serialise as true
                 if len(key) != 2 * n or not all(type(e) is int for e in key):
                     raise InvalidInputError(f"exponent key {key!r} does not fit rank {n}")
-                if not isinstance(coeff, int):
+                # a boolean coefficient would serialise as "True"
+                if type(coeff) is not int:
                     raise InvalidInputError(f"coefficient {coeff!r} is not an integer")
                 if coeff:
                     clean[key] = coeff
@@ -274,64 +275,6 @@ def permute_y(sigma: Permutation, f: LaurentPoly) -> LaurentPoly:
     'x1*y2 - y1'
     """
     return _permute(sigma, f, f.n)
-
-
-# -- substitution -------------------------------------------------------------
-
-
-def _monomial_key(value: LaurentPoly, n: int) -> tuple[int, ...]:
-    if value.n != n:
-        raise InvalidInputError(f"rank mismatch in substitution target: {value.n} vs {n}")
-    if len(value.terms) != 1:
-        raise InvalidInputError("substitution values must be single monomials")
-    ((key, coeff),) = value.terms.items()
-    if coeff != 1:
-        raise InvalidInputError("substitution values must have coefficient 1")
-    return key
-
-
-def substitute(
-    f: LaurentPoly,
-    x_map: Mapping[int, LaurentPoly] | None = None,
-    y_map: Mapping[int, LaurentPoly] | None = None,
-) -> LaurentPoly:
-    """Monomial substitution homomorphism; unassigned variables map to themselves.
-
-    >>> f = 1 - LaurentPoly.y(3, 3) * LaurentPoly.monomial(3, 1, (-1, 0, 0))
-    >>> substitute(f, x_map={1: LaurentPoly.y(3, 3)}).is_zero
-    True
-    """
-    n = f.n
-    width = 2 * n
-    images: list[tuple[int, ...] | None] = [None] * width
-    for i, g in (x_map or {}).items():
-        if not 1 <= i <= n:
-            raise InvalidInputError(f"x index {i} out of range for rank {n}")
-        images[i - 1] = _monomial_key(g, n)
-    for i, g in (y_map or {}).items():
-        if not 1 <= i <= n:
-            raise InvalidInputError(f"y index {i} out of range for rank {n}")
-        images[n + i - 1] = _monomial_key(g, n)
-    out: dict[tuple[int, ...], int] = {}
-    for key, c in f.terms.items():
-        vec = [0] * width
-        for slot, e in enumerate(key):
-            if not e:
-                continue
-            img = images[slot]
-            if img is None:
-                vec[slot] += e
-            else:
-                for t, ex in enumerate(img):
-                    if ex:
-                        vec[t] += e * ex
-        k2 = tuple(vec)
-        s = out.get(k2, 0) + c
-        if s:
-            out[k2] = s
-        else:
-            out.pop(k2, None)
-    return LaurentPoly._raw(n, out)
 
 
 # -- exact division -----------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, TypeVar
+from typing import Iterator, Sequence, TypeVar
 
 from .errors import InvalidInputError, LimitExceededError
 
@@ -118,14 +118,6 @@ def compose(u: Permutation, v: Permutation) -> Permutation:
     return Permutation(tuple(uim[j - 1] for j in v.images))
 
 
-def inverse(w: Permutation) -> Permutation:
-    return w.inverse()
-
-
-def length(w: Permutation) -> int:
-    return w.length()
-
-
 def canonical_reduced_word(w: Permutation) -> ReducedWord:
     """The lexicographically smallest reduced word for w.
 
@@ -153,21 +145,6 @@ def canonical_reduced_word(w: Permutation) -> ReducedWord:
                 break
         else:
             return tuple(letters)
-
-
-def word_to_permutation(n: int, letters: Iterable[int]) -> Permutation:
-    """Multiply adjacent transpositions left to right into a permutation.
-
-    >>> word_to_permutation(3, (1, 2, 1)).images
-    (3, 2, 1)
-    """
-    images = list(range(1, n + 1))
-    for i in letters:
-        if not 1 <= i <= n - 1:
-            raise InvalidInputError(f"letter {i} out of range for rank {n}")
-        # right-multiplying by s_i swaps positions i and i+1
-        images[i - 1], images[i] = images[i], images[i - 1]
-    return Permutation(tuple(images))
 
 
 def bruhat_leq(v: Permutation, w: Permutation) -> bool:
@@ -207,7 +184,7 @@ def permuted_bruhat_leq(v: Permutation, w: Permutation, gamma: Permutation) -> b
     return bruhat_leq(ginv * v, ginv * w)
 
 
-def all_permutations(n: int, max_rank: int = MAX_ENUMERATION_RANK) -> Iterator[Permutation]:
+def all_permutations(n: int) -> Iterator[Permutation]:
     """All n! permutations in lexicographic one-line order.
 
     >>> [p.images for p in all_permutations(2)]
@@ -215,8 +192,8 @@ def all_permutations(n: int, max_rank: int = MAX_ENUMERATION_RANK) -> Iterator[P
     """
     if n < 1:
         raise InvalidInputError(f"rank must be positive, got {n}")
-    if n > max_rank:
-        raise LimitExceededError(f"rank {n} exceeds the enumeration bound {max_rank}")
+    if n > MAX_ENUMERATION_RANK:
+        raise LimitExceededError(f"rank {n} exceeds the enumeration bound {MAX_ENUMERATION_RANK}")
     return (Permutation(p) for p in itertools.permutations(range(1, n + 1)))
 
 

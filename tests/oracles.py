@@ -1,14 +1,18 @@
 """Independent oracles used by the test suite.
 
 Everything here works on raw tuples and Fractions and deliberately avoids
-the library's own Bruhat test, reduced-word builder, and closed-form
-divided differences, so the tests compare two genuinely different routes.
+the library's own Bruhat test and reduced-word builder, and, outside the
+operator-word routes, its closed-form divided differences, so the tests
+compare two genuinely different routes.
 The divided differences here go through the library's exact polynomial
 division (kept there for ``gkm.decompose``), which shares no code with
-``kflag.ddo``. The variable relabellings rebuild each key one exponent at a
-time, without the library's precomputed getters. Supports, decompositions
-and recompositions go point by point through ``gkm.restrict``, without the
-library's packed-key walk.
+``kflag.ddo``. The operator-word routes apply ``kflag.ddo.pi`` along this
+module's own bubble-sort reduced word, not the library's lex-least one,
+and the permuted classes they define start from the subset expansion of
+the top class. Monomial substitution and the variable relabellings rebuild
+each key one exponent at a time, without the library's precomputed
+getters. Supports, decompositions and recompositions go point by point
+through ``gkm.restrict``, without the library's packed-key walk.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ import itertools
 import random
 from fractions import Fraction
 
-from kflag.errors import NotDivisibleError, NotInSpanError
+from kflag.ddo import pi
+from kflag.errors import InvalidInputError, NotDivisibleError, NotInSpanError
 from kflag.gkm import restrict
 from kflag.groth import permuted_grothendieck
 from kflag.laurent import LaurentPoly, exact_div
@@ -189,6 +194,44 @@ def permute_y_by_terms(sigma: Permutation, f: LaurentPoly) -> LaurentPoly:
     )
 
 
+# -- monomial substitution ----------------------------------------------------------
+
+
+def _monomial_key(value: LaurentPoly, n: int) -> tuple[int, ...]:
+    if value.n != n:
+        raise InvalidInputError(f"rank mismatch in substitution target: {value.n} vs {n}")
+    if len(value.terms) != 1:
+        raise InvalidInputError("substitution values must be single monomials")
+    ((key, coeff),) = value.terms.items()
+    if coeff != 1:
+        raise InvalidInputError("substitution values must have coefficient 1")
+    return key
+
+
+def substitute(f: LaurentPoly, x_map=None, y_map=None) -> LaurentPoly:
+    """Monomial substitution homomorphism; unassigned variables map to themselves."""
+    n = f.n
+    images: list[tuple[int, ...] | None] = [None] * (2 * n)
+    for offset, mapping in ((0, x_map), (n, y_map)):
+        for i, g in (mapping or {}).items():
+            if not 1 <= i <= n:
+                raise InvalidInputError(f"variable index {i} out of range for rank {n}")
+            images[offset + i - 1] = _monomial_key(g, n)
+    out: dict[tuple[int, ...], int] = {}
+    for key, c in f.terms.items():
+        vec = [0] * (2 * n)
+        for slot, e in enumerate(key):
+            img = images[slot]
+            if img is None:
+                vec[slot] += e
+            else:
+                for t, ex in enumerate(img):
+                    vec[t] += e * ex
+        k2 = tuple(vec)
+        out[k2] = out.get(k2, 0) + c
+    return LaurentPoly(n, out)
+
+
 # -- divided differences through division, and the top class by brute force ------
 
 
@@ -219,6 +262,28 @@ def top_by_subsets(n: int) -> LaurentPoly:
             key = tuple(key)
             terms[key] = terms.get(key, 0) + (-1) ** size
     return LaurentPoly(n, terms)
+
+
+# -- operator words -----------------------------------------------------------------
+
+
+def apply_pi_word(letters, f: LaurentPoly) -> LaurentPoly:
+    """Apply ``kflag.ddo.pi`` along an explicit word, rightmost letter first."""
+    for i in reversed(tuple(letters)):
+        f = pi(i, f)
+    return f
+
+
+def pi_word(w: Permutation, f: LaurentPoly) -> LaurentPoly:
+    """The operator word of w along ``some_reduced_word``, applied to f."""
+    if w.n != f.n:
+        raise InvalidInputError(f"rank mismatch: {w.n} vs {f.n}")
+    return apply_pi_word(some_reduced_word(w.images), f)
+
+
+def permuted_grothendieck_by_word(w: Permutation, gamma: Permutation) -> LaurentPoly:
+    """The defining route: the word of w^{-1}gamma on the gamma-relabelled top class."""
+    return pi_word(w.inverse() * gamma, permute_y_by_terms(gamma, top_by_subsets(w.n)))
 
 
 # -- localization point by point ----------------------------------------------------

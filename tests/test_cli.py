@@ -319,6 +319,33 @@ class TestDecompose:
         assert (code, out) == (2, "")
         assert "'entries' must be an array" in err
 
+    @pytest.mark.parametrize(
+        "poly",
+        [0, None, "", {}, False],
+        ids=["zero", "null", "empty-string", "empty-object", "false"],
+    )
+    def test_class_file_poly_not_an_array_exit_2(self, capsys, tmp_path, poly):
+        data = restriction_class_to_json(restrict_all(top(2)))
+        data["entries"][0]["poly"] = poly
+        class_file = tmp_path / "class.json"
+        class_file.write_text(json.dumps(data))
+        code, out, err = run(
+            capsys, "decompose", "--n", "2", "--gamma", "1,2", "--class", str(class_file)
+        )
+        assert (code, out) == (2, "")
+        assert "'poly' at 1,2 must be an array" in err
+
+    def test_class_outside_the_span_exits_2(self, capsys, tmp_path):
+        one = [{"coeff": "1", "x": [0, 0], "y": [0, 0]}]
+        data = {"n": 2, "entries": [{"z": "1,2", "poly": one}, {"z": "2,1", "poly": []}]}
+        class_file = tmp_path / "class.json"
+        class_file.write_text(json.dumps(data))
+        code, out, err = run(
+            capsys, "decompose", "--n", "2", "--gamma", "1,2", "--class", str(class_file)
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: residue at 1,2 is not divisible by the diagonal restriction\n"
+
     def test_class_json_roundtrip(self):
         alpha = restrict_all(top(3))
         data = json.loads(json.dumps(restriction_class_to_json(alpha)))

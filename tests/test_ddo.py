@@ -3,16 +3,18 @@ import random
 import pytest
 
 from kflag import groth
-from kflag.ddo import apply_pi_word, delta, pi, pi_word
+from kflag.ddo import delta, pi
 from kflag.errors import InvalidInputError
 from kflag.laurent import LaurentPoly, permute_x
 from kflag.perm import Permutation, all_permutations
 
 from oracles import (
     all_reduced_words,
+    apply_pi_word,
     delta_by_division,
     eval_poly,
     pi_by_division,
+    pi_word,
     random_laurent,
     random_point,
 )

@@ -1,8 +1,12 @@
 """Doctest runner plus cross-module property sweeps that fit nowhere else."""
 
 import doctest
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +33,20 @@ def test_doctests(module):
     result = doctest.testmod(module, verbose=False)
     assert result.attempted > 0
     assert result.failed == 0
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "script", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name
+)
+def test_demo_runs(script):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def _random_zero_sum(rng, n, generic):

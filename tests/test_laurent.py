@@ -20,7 +20,6 @@ from kflag.laurent import (
     poly_to_json,
     polys_to_json,
     render_poly,
-    substitute,
     write_json,
 )
 from kflag.gkm import restrict_all
@@ -34,6 +33,7 @@ from oracles import (
     permute_y_by_terms,
     random_laurent,
     random_point,
+    substitute,
 )
 
 
@@ -71,6 +71,12 @@ class TestBasics:
         # poly_to_json would write them as true/false, which poly_from_json refuses
         with pytest.raises(InvalidInputError):
             LaurentPoly(1, {(True, 0): 1})
+
+    def test_boolean_coefficients_refused(self):
+        # poly_to_json would write "True", which poly_from_json refuses
+        for flag in (True, False):
+            with pytest.raises(InvalidInputError):
+                LaurentPoly(1, {(0, 0): flag})
 
     def test_big_coefficients_stay_exact(self):
         big = 10**30

@@ -11,10 +11,9 @@ from kflag.perm import (
     canonical_reduced_word,
     compose,
     permuted_bruhat_leq,
-    word_to_permutation,
 )
 
-from oracles import all_reduced_words, subword_bruhat_leq
+from oracles import all_reduced_words, subword_bruhat_leq, t_word_product
 
 
 def P(*images):
@@ -101,7 +100,7 @@ class TestCanonicalReducedWord:
         for w in all_permutations(n):
             word = canonical_reduced_word(w)
             assert len(word) == w.length()
-            assert word_to_permutation(n, word) == w
+            assert t_word_product(n, word) == w.images
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_word_is_lex_smallest(self, n):
