@@ -49,10 +49,21 @@ def _parse_permutation(text: str, n: int | None = None) -> Permutation:
     return w
 
 
-def _parse_gamma(args, n: int) -> Permutation:
+def _parse_class(args) -> tuple[Permutation, Permutation]:
+    """w and gamma of --n/--w/--gamma; gamma defaults to the identity."""
+    w = _parse_permutation(args.w, args.n)
     if args.gamma is None:
-        return Permutation.identity(n)
-    return _parse_permutation(args.gamma, n)
+        return w, Permutation.identity(args.n)
+    return w, _parse_permutation(args.gamma, args.n)
+
+
+def _parse_weights(args) -> tuple[kirwan.WeightVector, kirwan.WeightVector]:
+    """lambda and mu of --lambda/--mu."""
+    return kirwan.WeightVector.parse(args.lam), kirwan.WeightVector.parse(args.mu)
+
+
+def _wall_line(wall: kirwan.WallHit) -> str:
+    return f"wall v={wall.v} gamma={wall.gamma} k={wall.k} value={wall.value}"
 
 
 def _emit_json(tree, fh=None) -> None:
@@ -70,53 +81,53 @@ def _print_poly(args, poly: LaurentPoly) -> None:
         print(render_poly(poly))
 
 
-def _read_poly(path: str) -> LaurentPoly:
-    if path == "-":
-        raw = sys.stdin.read()
-    else:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = fh.read()
-        except OSError as exc:
-            raise InvalidInputError(f"cannot read polynomial file {path!r}: {exc}") from exc
+def _read_json(path: str, what: str):
+    """The JSON value in the file at path, or on stdin for "-", read as UTF-8.
+
+    what names the file kind in the messages; every failure to read or to
+    decode it is an InvalidInputError.
+    """
     try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"polynomial file is not valid JSON: {exc}") from exc
-    return poly_from_json(data)
+        if path == "-":
+            raw = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as fh:
+                raw = fh.read()
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read {what} {path!r}: {exc}") from exc
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and integers
+        # past the interpreter's digit limit; RecursionError deep nesting
+        raise InvalidInputError(f"{what} is not valid JSON: {exc}") from exc
 
 
 # -- subcommands ---------------------------------------------------------------
 
 
 def _cmd_groth(args) -> int:
-    w = _parse_permutation(args.w, args.n)
-    gamma = _parse_gamma(args, args.n)
-    _print_poly(args, groth.permuted_grothendieck(w, gamma))
+    _print_poly(args, groth.permuted_grothendieck(*_parse_class(args)))
     return 0
 
 
 def _cmd_ddo(args) -> int:
-    poly = _read_poly(args.poly)
+    poly = poly_from_json(_read_json(args.poly, "polynomial file"))
     op = {"delta": delta, "pi": pi}[args.op]
     _print_poly(args, op(args.i, poly))
     return 0
 
 
 def _cmd_restrict(args) -> int:
-    w = _parse_permutation(args.w, args.n)
-    gamma = _parse_gamma(args, args.n)
+    w, gamma = _parse_class(args)
     z = _parse_permutation(args.at, args.n)
     _print_poly(args, gkm.restrict(groth.permuted_grothendieck(w, gamma), z))
     return 0
 
 
 def _cmd_support(args) -> int:
-    w = _parse_permutation(args.w, args.n)
-    gamma = _parse_gamma(args, args.n)
-    members = sorted(
-        gkm.support(groth.permuted_grothendieck(w, gamma)), key=lambda p: p.images
-    )
+    f = groth.permuted_grothendieck(*_parse_class(args))
+    members = sorted(gkm.support(f), key=lambda p: p.images)
     if args.json:
         _emit_json([list(z.images) for z in members])
     else:
@@ -141,14 +152,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    try:
-        with open(args.cls, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read class file {args.cls!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"class file is not valid JSON: {exc}") from exc
-    alpha = restriction_class_from_json(data)
+    alpha = restriction_class_from_json(_read_json(args.cls, "class file"))
     if alpha.n != args.n:
         raise InvalidInputError(f"class file has rank {alpha.n}, expected {args.n}")
     gamma = _parse_permutation(args.gamma, args.n)
@@ -163,24 +167,18 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_regular(args) -> int:
-    lam = kirwan.WeightVector.parse(args.lam)
-    mu = kirwan.WeightVector.parse(args.mu)
-    cert = kirwan.is_regular(lam, mu)
+    cert = kirwan.is_regular(*_parse_weights(args))
     if args.json:
         _emit_json(cert.to_json_obj())
     else:
         print("regular" if cert.regular else "not regular")
         for wall in cert.walls:
-            print(
-                f"wall v={wall.v.one_line()} gamma={wall.gamma.one_line()}"
-                f" k={wall.k} value={wall.value}"
-            )
+            print(_wall_line(wall))
     return 0
 
 
 def _cmd_kernel(args) -> int:
-    lam = kirwan.WeightVector.parse(args.lam)
-    mu = kirwan.WeightVector.parse(args.mu)
+    lam, mu = _parse_weights(args)
     gens = kirwan.kernel_generators(lam, mu)
     if args.check:
         kirwan.kernel_soundness(gens, lam, mu)
@@ -200,9 +198,7 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_presentation(args) -> int:
-    lam = kirwan.WeightVector.parse(args.lam)
-    mu = kirwan.WeightVector.parse(args.mu)
-    tree = kirwan.presentation(lam, mu).json_tree()
+    tree = kirwan.presentation(*_parse_weights(args)).json_tree()
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -215,7 +211,8 @@ def _cmd_presentation(args) -> int:
 
 
 def restriction_class_from_json(data) -> gkm.RestrictionClass:
-    """Parse {"n": N, "entries": [{"z": "...", "poly": [...]}, ...]}."""
+    """Parse {"n": N, "entries": [{"z": Z, "poly": [...]}, ...]}; the fixed point
+    Z is either a one-line string such as "2,1,3" or an array such as [2, 1, 3]."""
     try:
         n = data["n"]
         raw_entries = data["entries"]
@@ -232,14 +229,11 @@ def restriction_class_from_json(data) -> gkm.RestrictionClass:
     for item in raw_entries:
         try:
             raw_z = item["z"]
-            if isinstance(raw_z, str):
-                z = _parse_permutation(raw_z, n)
-            else:
+            if not isinstance(raw_z, str):
                 if any(type(v) is not int for v in raw_z):
                     raise TypeError("'z' must be an array of integers")
-                z = Permutation(tuple(raw_z))
-                if z.n != n:
-                    raise InvalidInputError(f"entry {raw_z!r} does not have rank {n}")
+                raw_z = ",".join(map(str, raw_z))
+            z = _parse_permutation(raw_z, n)
             terms = item["poly"]
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"malformed class entry {item!r}") from exc
@@ -264,9 +258,6 @@ def restriction_class_to_json(alpha: gkm.RestrictionClass) -> dict:
 
 # -- parser ----------------------------------------------------------------------
 
-_JOBS_HELP = "accepted for compatibility and ignored; every run is serial (must be >= 1)"
-
-
 def _jobs(text: str) -> int:
     try:
         value = int(text)
@@ -284,65 +275,57 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str):
+    def add(name: str, help_text: str, func, *options) -> None:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-        return p
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
 
-    p = add("groth", "permuted double Grothendieck polynomial")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--w", required=True, help="one-line notation, e.g. 1,3,2")
-    p.add_argument("--gamma", default=None)
-    p.set_defaults(func=_cmd_groth)
+    # the option groups that several subcommands share
+    rank = ("--n", {"type": int, "required": True})
+    klass = (
+        rank,
+        ("--w", {"required": True, "help": "one-line notation, e.g. 1,3,2"}),
+        ("--gamma", {"default": None}),
+    )
+    weights = (
+        ("--lambda", {"dest": "lam", "required": True, "help": "e.g. 1,0,-1"}),
+        ("--mu", {"dest": "mu", "required": True, "help": "e.g. 1/4,1/8,-3/8"}),
+    )
+    jobs = ("--jobs", {
+        "type": _jobs, "default": 1,
+        "help": "accepted for compatibility and ignored; every run is serial (must be >= 1)",
+    })
 
-    p = add("ddo", "apply a divided difference operator to a polynomial file")
-    p.add_argument("--op", choices=("delta", "pi"), required=True)
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--poly", required=True, help="JSON term file, or - for stdin")
-    p.set_defaults(func=_cmd_ddo)
-
-    p = add("restrict", "restrict a class at a fixed point")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--w", required=True)
-    p.add_argument("--gamma", default=None)
-    p.add_argument("--at", required=True, help="fixed point, one-line notation")
-    p.set_defaults(func=_cmd_restrict)
-
-    p = add("support", "support of a class over the fixed points")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--w", required=True)
-    p.add_argument("--gamma", default=None)
-    p.set_defaults(func=_cmd_support)
-
-    p = add("verify", "exhaustive support/interval sweep over S_n x S_n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--jobs", type=_jobs, default=1, help=_JOBS_HELP)
-    p.set_defaults(func=_cmd_verify)
-
-    p = add("decompose", "decompose a localized class in a permuted basis")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--gamma", required=True)
-    p.add_argument("--class", dest="cls", required=True, help="restriction class JSON file")
-    p.set_defaults(func=_cmd_decompose)
-
-    p = add("regular", "wall-avoidance check for a reduction level")
-    p.add_argument("--lambda", dest="lam", required=True, help="e.g. 1,0,-1")
-    p.add_argument("--mu", dest="mu", required=True, help="e.g. 1/4,1/8,-3/8")
-    p.set_defaults(func=_cmd_regular)
-
-    p = add("kernel", "kernel generators for a regular reduction level")
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--mu", dest="mu", required=True)
-    p.add_argument("--jobs", type=_jobs, default=1, help=_JOBS_HELP)
-    p.add_argument("--check", action="store_true", help="run soundness certificates")
-    p.set_defaults(func=_cmd_kernel)
-
-    p = add("presentation", "assembled generators-and-relations presentation (JSON)")
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--mu", dest="mu", required=True)
-    p.add_argument("--jobs", type=_jobs, default=1, help=_JOBS_HELP)
-    p.add_argument("--out", default=None, help="write to a file instead of stdout")
-    p.set_defaults(func=_cmd_presentation)
+    add("groth", "permuted double Grothendieck polynomial", _cmd_groth, *klass)
+    add(
+        "ddo", "apply a divided difference operator to a polynomial file", _cmd_ddo,
+        ("--op", {"choices": ("delta", "pi"), "required": True}),
+        ("--i", {"type": int, "required": True}),
+        ("--poly", {"required": True, "help": "JSON term file, or - for stdin"}),
+    )
+    add(
+        "restrict", "restrict a class at a fixed point", _cmd_restrict, *klass,
+        ("--at", {"required": True, "help": "fixed point, one-line notation"}),
+    )
+    add("support", "support of a class over the fixed points", _cmd_support, *klass)
+    add("verify", "exhaustive support/interval sweep over S_n x S_n", _cmd_verify, rank, jobs)
+    add(
+        "decompose", "decompose a localized class in a permuted basis", _cmd_decompose, rank,
+        ("--gamma", {"required": True}),
+        ("--class", {"dest": "cls", "required": True, "help": "restriction class JSON file"}),
+    )
+    add("regular", "wall-avoidance check for a reduction level", _cmd_regular, *weights)
+    add(
+        "kernel", "kernel generators for a regular reduction level", _cmd_kernel, *weights,
+        jobs, ("--check", {"action": "store_true", "help": "run soundness certificates"}),
+    )
+    add(
+        "presentation", "assembled generators-and-relations presentation (JSON)",
+        _cmd_presentation, *weights, jobs,
+        ("--out", {"default": None, "help": "write to a file instead of stdout"}),
+    )
 
     return parser
 
@@ -360,11 +343,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         cert = exc.certificate
         if cert is not None:
             for wall in cert.walls:
-                print(
-                    f"  wall v={wall.v.one_line()} gamma={wall.gamma.one_line()}"
-                    f" k={wall.k} value={wall.value}",
-                    file=sys.stderr,
-                )
+                print(f"  {_wall_line(wall)}", file=sys.stderr)
         return 3
     except (InternalInvariantError, SoundnessFailureError, NotDivisibleError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -38,4 +38,4 @@ class SoundnessFailureError(KflagError):
 
 
 class InternalInvariantError(KflagError, RuntimeError):
-    """An internal algebraic invariant broke (e.g. a divided difference failed to divide)."""
+    """An internal algebraic invariant broke (e.g. gkm.decompose left a nonzero residue)."""

@@ -278,12 +278,12 @@ class SweepReport:
 def _compare_support_interval(
     w: tuple[int, ...],
     gamma: tuple[int, ...],
-    supp: Iterable[tuple[int, ...]],
-    interval: Iterable[tuple[int, ...]],
+    supp: tuple[tuple[int, ...], ...],
+    interval: tuple[tuple[int, ...], ...],
     universe: Iterable[tuple[int, ...]],
 ) -> PairCheck:
-    supp = tuple(sorted(supp))
-    interval = tuple(sorted(interval))
+    """The PairCheck of (w, gamma); supp and interval are sorted tuples, and
+    the counterexamples follow the order of universe."""
     if supp == interval:
         return PairCheck(w, gamma, True, supp, interval)
     supp_set, int_set = set(supp), set(interval)
@@ -337,8 +337,9 @@ def verify_support_theorem(n: int) -> SweepReport:
         for g in range(len(points)):
             u = left[inv[g]][w]
             lg = left[g]
-            supp = [points[i] for i in sorted(lg[i] for i in base_support[u])]
-            interval = [points[i] for i in sorted(lg[i] for i in base_interval[u])]
+            # from lists: tuple() of a generator resizes, and the peak RSS rose
+            supp = tuple([points[i] for i in sorted(lg[i] for i in base_support[u])])
+            interval = tuple([points[i] for i in sorted(lg[i] for i in base_interval[u])])
             checks.append(
                 _compare_support_interval(points[w], points[g], supp, interval, points)
             )

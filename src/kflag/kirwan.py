@@ -47,6 +47,10 @@ from .perm import Permutation, act_on_weights, all_permutations
 #: and kernel_generators and presentation go through it.
 MAX_WEIGHT_RANK = 6
 
+#: Ceiling for kernel_generators and presentation: the staircase rank-6 kernel
+#: has 432,000 generators holding about 357 M expanded terms.
+MAX_KERNEL_RANK = 5
+
 
 def _fraction_json(q: Fraction) -> dict:
     return {"num": q.numerator, "den": q.denominator}
@@ -112,9 +116,6 @@ class WeightVector:
         if not self.is_generic:
             raise InvalidInputError(f"weight vector {self.format()} is not strictly decreasing")
 
-    def permuted_by(self, gamma: Permutation) -> "WeightVector":
-        return WeightVector(act_on_weights(gamma, self.entries))
-
     def format(self) -> str:
         return ",".join(str(e) for e in self.entries)
 
@@ -126,7 +127,7 @@ def moment_image(lam: WeightVector, w: Permutation) -> WeightVector:
     """The moment-map image lam_w of the fixed point indexed by w."""
     if lam.n != w.n:
         raise InvalidInputError(f"rank mismatch: {lam.n} vs {w.n}")
-    return lam.permuted_by(w)
+    return WeightVector(act_on_weights(w, lam.entries))
 
 
 def eta_value(gamma: Permutation, k: int, nu: WeightVector) -> Fraction:
@@ -278,6 +279,9 @@ def kernel_generators(lam: WeightVector, mu: WeightVector) -> tuple[KernelGenera
     anything otherwise. One generator is returned per qualifying pair, with
     every qualifying k recorded, in lexicographic (v, gamma) order.
     """
+    # ranks above MAX_WEIGHT_RANK keep the weight-layer message of _regularity
+    if MAX_KERNEL_RANK < lam.n <= MAX_WEIGHT_RANK:
+        raise LimitExceededError(f"rank {lam.n} exceeds the kernel bound {MAX_KERNEL_RANK}")
     cert, perms, lam_tails, mu_tails = _regularity(lam, mu)
     if not cert.regular:
         raise NotRegularError(

@@ -147,14 +147,7 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, 0) - c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return LaurentPoly._raw(self.n, out)
+        return self + -other
 
     def __rsub__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
@@ -249,17 +242,14 @@ def _slot_getter(sigma: Permutation, offset: int) -> itemgetter:
     return itemgetter(*slots)
 
 
-def _relabel(f: LaurentPoly, get: itemgetter) -> LaurentPoly:
-    """f with each key k replaced by get(k), a bijection on keys."""
-    return LaurentPoly._raw(f.n, dict(zip(map(get, f.terms), f.terms.values())))
-
-
 def _permute(sigma: Permutation, f: LaurentPoly, offset: int) -> LaurentPoly:
     if sigma.n != f.n:
         raise InvalidInputError(f"rank mismatch: {sigma.n} vs {f.n}")
     if sigma.is_identity():
         return f
-    return _relabel(f, _slot_getter(sigma, offset))
+    # the relabelling is a bijection on keys, so no two terms merge
+    get = _slot_getter(sigma, offset)
+    return LaurentPoly._raw(f.n, dict(zip(map(get, f.terms), f.terms.values())))
 
 
 def permute_x(sigma: Permutation, f: LaurentPoly) -> LaurentPoly:

@@ -123,8 +123,7 @@ def canonical_reduced_word(w: Permutation) -> ReducedWord:
 
     Letters multiply left to right: ``w == s_{i_1} * s_{i_2} * ... * s_{i_l}``.
     Produced greedily: the smallest left descent is split off until the
-    identity remains, which yields the lex-least word and is deterministic
-    (it doubles as a cache key downstream).
+    identity remains, which yields the lex-least word.
 
     >>> canonical_reduced_word(Permutation((3, 2, 1)))
     (1, 2, 1)
@@ -133,9 +132,7 @@ def canonical_reduced_word(w: Permutation) -> ReducedWord:
     """
     # i is a left descent of w iff w^{-1}(i) > w^{-1}(i+1); splitting it off
     # replaces w by s_i * w, whose inverse is w^{-1} with entries i, i+1 swapped.
-    inv = [0] * w.n
-    for pos, val in enumerate(w.images, start=1):
-        inv[val - 1] = pos
+    inv = list(w.inverse().images)
     letters: list[int] = []
     while True:
         for i in range(1, len(inv)):

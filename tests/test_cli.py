@@ -1,10 +1,24 @@
+import argparse
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kflag import groth, kirwan
-from kflag.cli import main, restriction_class_from_json, restriction_class_to_json
+from kflag.cli import (
+    build_parser,
+    main,
+    restriction_class_from_json,
+    restriction_class_to_json,
+)
 from kflag.errors import InvalidInputError, LimitExceededError
 from kflag.gkm import decompose, restrict_all
 from kflag.groth import top
@@ -456,3 +470,212 @@ class TestDeterminism:
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
+
+
+RANK6_WEIGHTS = ("5,3,1,-1,-3,-5", "31/197,17/197,5/197,-11/197,-19/197,-23/197")
+
+
+class TestKernelRankBound:
+    """The rank-6 kernel (432,000 generators, about 357 M terms) is refused
+    before the wall scan; rank 7 keeps the weight-layer message."""
+
+    @pytest.mark.parametrize("command", ["kernel", "presentation"])
+    def test_rank_six_exits_2(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(kirwan, "all_permutations", _never)
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, command, "--lambda", RANK6_WEIGHTS[0], "--mu", RANK6_WEIGHTS[1]
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == "error: rank 6 exceeds the kernel bound 5\n"
+
+    def test_rank_six_library_refusal(self, monkeypatch):
+        monkeypatch.setattr(kirwan, "all_permutations", _never)
+        lam, mu = map(kirwan.WeightVector.parse, RANK6_WEIGHTS)
+        for fn in (kirwan.kernel_generators, kirwan.presentation):
+            with pytest.raises(LimitExceededError, match="kernel bound 5"):
+                fn(lam, mu)
+        assert kirwan.MAX_KERNEL_RANK == 5
+
+
+# the two JSON file inputs, each argv ending before the file path
+POLY_ARGV = ["ddo", "--op", "pi", "--i", "1", "--poly"]
+CLASS_ARGV = ["decompose", "--n", "2", "--gamma", "1,2", "--class"]
+FILE_INPUTS = [
+    pytest.param(POLY_ARGV, "polynomial file", id="poly"),
+    pytest.param(CLASS_ARGV, "class file", id="class"),
+]
+
+
+class TestJsonFileReader:
+    @pytest.mark.parametrize("argv, what", FILE_INPUTS)
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            pytest.param(b'["\xff"]', id="not-utf8"),
+            pytest.param(b"[" * 100_000, id="nested-100000-deep"),
+            pytest.param(b"1" * 5000, id="5000-digit-int"),
+        ],
+    )
+    def test_undecodable_file_exits_2(self, capsys, tmp_path, argv, what, raw):
+        path = tmp_path / "input.json"
+        path.write_bytes(raw)
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {what} is not valid JSON: ")
+
+    @pytest.mark.parametrize("argv, what", FILE_INPUTS)
+    def test_missing_file_exits_2(self, capsys, tmp_path, argv, what):
+        path = tmp_path / "missing.json"
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {what} {str(path)!r}: ")
+
+
+def _kflag(*argv: str, stdin: bytes) -> subprocess.CompletedProcess:
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, "-m", "kflag.cli", *argv],
+        input=stdin, env=env, capture_output=True, timeout=60,
+    )
+
+
+class TestStdinInputs:
+    def test_poly_from_stdin(self):
+        poly = json.dumps(poly_to_json(top(2))).encode()
+        done = _kflag(*POLY_ARGV, "-", stdin=poly)
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"1\n", b"")
+
+    def test_class_from_stdin(self):
+        alpha = json.dumps(restriction_class_to_json(restrict_all(top(2)))).encode()
+        done = _kflag(*CLASS_ARGV, "-", stdin=alpha)
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"1,2: 1\n2,1: 0\n", b"")
+
+    def test_undecodable_stdin_exits_2(self):
+        done = _kflag(*CLASS_ARGV, "-", stdin=b"\xff")
+        assert (done.returncode, done.stdout) == (2, b"")
+        assert done.stderr.startswith(b"error: class file is not valid JSON: ")
+
+
+# small values only: the class table has no term budget, so pi on x1^(10^9)
+# would try to allocate 10^9 terms
+_WORDS = st.sampled_from(["n", "entries", "z", "poly", "x", "y", "coeff", "1", "-1", "2,1"])
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | _WORDS | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_WORDS | st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+# near-valid term lists and class objects reach past the shape checks
+_EXPONENTS = st.lists(st.integers(-3, 3), min_size=2, max_size=2)
+_TERMS = st.lists(
+    st.fixed_dictionaries({
+        "coeff": st.sampled_from(["1", "-2", "0"]) | _JSON_VALUES,
+        "x": _EXPONENTS | _JSON_VALUES,
+        "y": _EXPONENTS | _JSON_VALUES,
+    }),
+    max_size=3,
+)
+_CLASSES = st.fixed_dictionaries({
+    "n": st.integers(0, 3) | _JSON_VALUES,
+    "entries": st.lists(
+        st.fixed_dictionaries({
+            "z": st.sampled_from(["1,2", "2,1", [1, 2], [2, 1], [1, 2, 3]]) | _JSON_VALUES,
+            "poly": st.just([]) | _TERMS | _JSON_VALUES,
+        }),
+        max_size=3,
+    ),
+})
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.json"
+
+
+@pytest.mark.parametrize(
+    "argv, near_valid", [(POLY_ARGV, _TERMS), (CLASS_ARGV, _CLASSES)], ids=["poly", "class"]
+)
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_file_inputs_exit_0_or_2(fuzz_path, argv, near_valid, data):
+    values = (_JSON_VALUES | near_valid).map(lambda v: json.dumps(v).encode())
+    raw = data.draw(st.binary(max_size=32) | values)
+    fuzz_path.write_bytes(raw)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main([*argv, str(fuzz_path)])
+    assert code in (0, 2)
+
+
+class TestCliSurface:
+    """Each subcommand's options in declaration order, with (dest, required, default)."""
+
+    SURFACE = {
+        "groth": [
+            ("--json", "json", False, False), ("--n", "n", True, None),
+            ("--w", "w", True, None), ("--gamma", "gamma", False, None),
+        ],
+        "ddo": [
+            ("--json", "json", False, False), ("--op", "op", True, None),
+            ("--i", "i", True, None), ("--poly", "poly", True, None),
+        ],
+        "restrict": [
+            ("--json", "json", False, False), ("--n", "n", True, None),
+            ("--w", "w", True, None), ("--gamma", "gamma", False, None),
+            ("--at", "at", True, None),
+        ],
+        "support": [
+            ("--json", "json", False, False), ("--n", "n", True, None),
+            ("--w", "w", True, None), ("--gamma", "gamma", False, None),
+        ],
+        "verify": [
+            ("--json", "json", False, False), ("--n", "n", True, None),
+            ("--jobs", "jobs", False, 1),
+        ],
+        "decompose": [
+            ("--json", "json", False, False), ("--n", "n", True, None),
+            ("--gamma", "gamma", True, None), ("--class", "cls", True, None),
+        ],
+        "regular": [
+            ("--json", "json", False, False), ("--lambda", "lam", True, None),
+            ("--mu", "mu", True, None),
+        ],
+        "kernel": [
+            ("--json", "json", False, False), ("--lambda", "lam", True, None),
+            ("--mu", "mu", True, None), ("--jobs", "jobs", False, 1),
+            ("--check", "check", False, False),
+        ],
+        "presentation": [
+            ("--json", "json", False, False), ("--lambda", "lam", True, None),
+            ("--mu", "mu", True, None), ("--jobs", "jobs", False, 1),
+            ("--out", "out", False, None),
+        ],
+    }
+
+    def test_subcommand_options(self):
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        surface = {
+            name: [
+                (*action.option_strings, action.dest, action.required, action.default)
+                for action in p._actions
+                if action.dest != "help"
+            ]
+            for name, p in sub.choices.items()
+        }
+        assert surface == self.SURFACE
+        assert sub.choices["ddo"]._option_string_actions["--op"].choices == ("delta", "pi")
+
+    def test_kernel_wall_lines_are_the_regular_lines_indented(self, capsys):
+        lam, mu = "1,0,-1", "0,0,0"
+        code, out, _ = run(capsys, "regular", "--lambda", lam, "--mu", mu)
+        assert code == 0
+        walls = out.splitlines()[1:]
+        assert len(walls) > 1
+        code, kernel_out, err = run(capsys, "kernel", "--lambda", lam, "--mu", mu)
+        assert (code, kernel_out) == (3, "")
+        lines = err.splitlines()
+        assert lines[0] == f"error: level 0,0,0 lies on {len(walls)} wall(s) for lambda 1,0,-1"
+        assert lines[1:] == ["  " + line for line in walls]
