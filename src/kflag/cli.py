@@ -233,10 +233,11 @@ def restriction_class_from_json(data) -> gkm.RestrictionClass:
                 if any(type(v) is not int for v in raw_z):
                     raise TypeError("'z' must be an array of integers")
                 raw_z = ",".join(map(str, raw_z))
-            z = _parse_permutation(raw_z, n)
             terms = item["poly"]
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"malformed class entry {item!r}") from exc
+        # a refused fixed point keeps its reason (cycle notation, wrong rank)
+        z = _parse_permutation(raw_z, n)
         if z in entries:
             raise InvalidInputError(f"duplicate class entry at {z.one_line()}")
         # only [] is the zero polynomial; 0, null, "" and {} are refused

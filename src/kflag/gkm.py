@@ -18,8 +18,11 @@ linearity, x_i -> y_j adds alpha_i * (W_y[j] - W_x[i]) to each key, one
 C-level pass per step. The walk fixes z(1), z(2), ... depth first in
 increasing order (lexicographic order of z, shared prefixes), and merges
 equal keys before each branching, so terms that cancel early (the top
-class once z(1) != 1) leave the walk. ``restrict(f, z)`` substitutes at
-one point and is the oracle.
+class once z(1) != 1) leave the walk. A node with no terms left, or no
+x-exponent left to substitute, stops: every point below it gets its terms.
+decompose and recompose keep their residues and sums in packed keys too and
+decode only what they return. ``restrict(f, z)`` substitutes at one point
+and is the oracle.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from itertools import count, repeat
+from math import factorial
 from operator import add, itemgetter, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -38,7 +42,7 @@ from .errors import (
     NotInSpanError,
 )
 from .groth import grothendieck, permuted_grothendieck
-from .laurent import LaurentPoly, canonical_zero_test, exact_div
+from .laurent import LaurentPoly, canonical_zero_test
 from .perm import Permutation, all_permutations, bruhat_leq
 
 #: Ceiling for the exhaustive support sweep.
@@ -75,11 +79,17 @@ def restrict(f: LaurentPoly, z: Permutation) -> LaurentPoly:
     return LaurentPoly._raw(n, out)
 
 
+def _max_exponent(polys: Iterable[LaurentPoly]) -> int:
+    """The largest |exponent| over the terms of polys."""
+    return max(
+        (max(max(map(max, f.terms)), -min(map(min, f.terms))) for f in polys if f.terms),
+        default=0,
+    )
+
+
 def _packing_base(f: LaurentPoly) -> int:
     """The packing base B: the least power of two above 8 * (max |exponent| of f)."""
-    keys = f.terms
-    m = max(max(map(max, keys)), -min(map(min, keys))) if keys else 0
-    return 1 << (8 * m).bit_length()
+    return 1 << (8 * _max_exponent([f])).bit_length()
 
 
 def _sums(keys: Sequence[int], coeffs: Sequence[int]) -> dict[int, int]:
@@ -90,15 +100,18 @@ def _sums(keys: Sequence[int], coeffs: Sequence[int]) -> dict[int, int]:
     return acc
 
 
-def _packed_restrictions(f: LaurentPoly, det: bool) -> Iterator[tuple[list[int], list[int]]]:
+def _packed_restrictions(
+    f: LaurentPoly, det: bool, base: int | None = None
+) -> Iterator[tuple[list[int], list[int]]]:
     """(keys, coeffs) for every z in S_n, in lexicographic order of z.
 
     The restriction of f at z (with det, modulo the determinant relation) is
     the sum of coeffs[t] * y^e over t, where keys[t] packs e. Equal keys may
     repeat. The lists are shared between points and must not be changed.
+    base, if given, is a power of two at least _packing_base(f).
     """
     n = f.n
-    b = _packing_base(f)
+    b = _packing_base(f) if base is None else base
     ydigits = n - 1 if det else n
     yweights = [b**j for j in range(n)]
     if det:
@@ -113,9 +126,6 @@ def _packed_restrictions(f: LaurentPoly, det: bool) -> Iterator[tuple[list[int],
     xcols = [list(map(itemgetter(i), terms)) for i in range(n)]
 
     def walk(keys, coeffs, xcols, free):
-        if not free:
-            yield keys, coeffs
-            return
         if len(free) > 1:
             # terms with equal keys agree at every point below: merge them
             acc = _sums(keys, coeffs)
@@ -126,6 +136,10 @@ def _packed_restrictions(f: LaurentPoly, det: bool) -> Iterator[tuple[list[int],
                 coeffs = list(map(acc.__getitem__, live))
                 xcols = [list(map(col.__getitem__, rows)) for col in xcols]
                 keys = live
+        if not keys or not any(map(any, xcols)):
+            # nothing left to substitute: every point below gets these terms
+            yield from repeat((keys, coeffs), factorial(len(free)))
+            return
         col, rest = xcols[0], xcols[1:]
         moves, xw = any(col), xweights[n - len(free)]
         for j in free:
@@ -144,33 +158,35 @@ def _nonzero_at(keys: Sequence[int], coeffs: Sequence[int]) -> bool:
     return any(_sums(keys, coeffs).values())
 
 
+class _Decoder(dict):
+    """Packed y-only key -> exponent tuple (zeros, then the n balanced digits
+    in base b); each key is decoded on its first lookup."""
+
+    def __init__(self, n: int, b: int):
+        super().__init__()
+        self.n, self.b = n, b
+
+    def __missing__(self, k: int) -> tuple[int, ...]:
+        n, b = self.n, self.b
+        half, shift = b >> 1, b.bit_length() - 1
+        digits = [0] * (2 * n)
+        rest = k
+        for j in range(n, 2 * n):
+            d = digits[j] = ((rest + half) & (b - 1)) - half  # the balanced digit
+            rest = (rest - d) >> shift
+        key = self[k] = tuple(digits)
+        return key
+
+
 def _restrictions(f: LaurentPoly) -> Iterator[LaurentPoly]:
     """restrict(f, z) for every z in S_n, in lexicographic order.
 
     Each distinct packed key is decoded into its exponent tuple once per call.
     """
     n = f.n
-    b = _packing_base(f)
-    half, shift = b >> 1, b.bit_length() - 1
-    zeros = (0,) * n
-    decoded: dict[int, tuple[int, ...]] = {}
-
-    def decode(k: int) -> tuple[int, ...]:
-        digits = []
-        for _ in range(n):
-            d = ((k + half) & (b - 1)) - half  # the balanced digit
-            digits.append(d)
-            k = (k - d) >> shift
-        return zeros + tuple(digits)
-
+    decoded = _Decoder(n, _packing_base(f))
     for keys, coeffs in _packed_restrictions(f, False):
-        out = {}
-        for k, c in _sums(keys, coeffs).items():
-            if c:
-                key = decoded.get(k)
-                if key is None:
-                    key = decoded[k] = decode(k)
-                out[key] = c
+        out = {decoded[k]: c for k, c in _sums(keys, coeffs).items() if c}
         yield LaurentPoly._raw(n, out)
 
 
@@ -351,6 +367,73 @@ def verify_support_theorem(n: int) -> SweepReport:
 # -- decomposition in a permuted Grothendieck basis -----------------------------
 
 
+def _solve_base(m: int, n: int, rounds: int) -> tuple[int, int]:
+    """(M, B) for a solve at rank n whose input exponents are at most m in
+    size and whose products chain through at most `rounds` basis restrictions.
+
+    A restriction of a basis class has every y-exponent in [-(n-1), n-1]: a
+    class's y-exponents lie in [0, n-1] and its x-exponents in [-(n-1), 0]
+    (those of the top class do, pi_i keeps each exponent of a term between
+    the old values of slots i and i+1, and relabelling y moves none), and
+    x_i -> y_{z(i)} adds one x-exponent to a y-exponent. So a product with a
+    restriction adds at most n - 1 to the largest |exponent|. A quotient by
+    (1 - y_b/y_a) puts each term on a segment between two terms of the
+    dividend, inside the dividend's Newton polytope, and adds nothing; nor
+    does a sum. Every exponent of the solve is therefore at most
+    M = m + (n-1) * rounds in size. B is the least power of two above 8M,
+    which covers the walk's own base for a basis class and keeps every
+    balanced digit inside (-B/2, B/2).
+    """
+    bound = m + (n - 1) * rounds
+    return bound, 1 << (8 * bound).bit_length()
+
+
+def _pack(f: LaurentPoly, weights: Sequence[int]) -> dict[int, int]:
+    """The terms of a y-only polynomial, y^e packed as sum_j e_j * weights[j]."""
+    n = f.n
+    return {sum(map(mul, key[n:], weights)): c for key, c in f.terms.items()}
+
+
+def _add_product(acc: dict[int, int], a: dict[int, int], b: dict[int, int]) -> None:
+    """acc += a * b on packed keys, in place; entries of acc may be left at 0."""
+    keys, coeffs, get = list(a), list(a.values()), acc.get
+    for k, c in b.items():
+        if c:
+            for key, prod in zip(map(add, keys, repeat(k)), map(mul, coeffs, repeat(c))):
+                acc[key] = get(key, 0) + prod
+
+
+def _divide_binomial(p: dict[int, int], d: int, span: int) -> dict[int, int]:
+    """The quotient of p by (1 - y^e), d the packed key of y^e, on packed keys.
+
+    On each line k + dZ the quotient's coefficient at k is p_k plus its
+    coefficient at k - d: one carry pass along the line in the direction of
+    d, which must end with no carry. Two keys of a line whose exponents
+    differ by more than span along e sit on different lines of exponent
+    space that the packing folds together, so no carry may cross that gap.
+    """
+    step = abs(d)
+    lines: dict[int, list[int]] = {}
+    for k in sorted(p, reverse=d < 0):
+        lines.setdefault(k % step, []).append(k)
+    q: dict[int, int] = {}
+    for keys in lines.values():
+        carry, prev = 0, keys[0]
+        for k in keys:
+            if carry:
+                if (k - prev) // d > span:
+                    raise NotDivisibleError("no exact quotient exists")
+                for g in range(prev + d, k, d):
+                    q[g] = carry
+            carry += p[k]
+            if carry:
+                q[k] = carry
+            prev = k
+        if carry:
+            raise NotDivisibleError("no exact quotient exists")
+    return q
+
+
 def decompose(alpha: RestrictionClass, gamma: Permutation) -> dict[Permutation, LaurentPoly]:
     """Coefficients a_w with alpha = sum_w a_w * (localized class of (w, gamma)).
 
@@ -360,33 +443,59 @@ def decompose(alpha: RestrictionClass, gamma: Permutation) -> dict[Permutation, 
     coefficients contribute, and a_w is the exact quotient of the running
     residue at w by the diagonal restriction. A failed division means alpha
     is not a Laurent-coefficient combination of the basis.
+
+    The solve runs on packed y-keys with one base for the call and decodes
+    only the coefficients. The diagonal restriction is the product over
+    i < j with u(i) < u(j), u = gamma^{-1}w, of (1 - y_{w(j)}/y_{w(i)})
+    (Kostant-Kumar), so the residue is divided by it one binomial at a time.
+    For the base: the restriction of the class of (w, gamma) at z is exactly
+    0 unless z <=_gamma w, so every product that reaches the residue at z
+    comes from a w of greater length, and by induction down the order a_w
+    and the residue at w have exponents at most m + (n-1) * h in size, h
+    the number of lengths above gamma^{-1}w. Products with a_w add one more
+    n - 1, so n(n-1)/2 + 1 rounds of _solve_base bound the whole solve.
     """
     if gamma.n != alpha.n:
         raise InvalidInputError(f"rank mismatch: {alpha.n} vs {gamma.n}")
     n = alpha.n
     perms = list(all_permutations(n))
-    ginv = gamma.inverse()
-    order = sorted(perms, key=lambda w: (-(ginv * w).length(), w.images))
-    residue = {z: alpha.entries[z] for z in perms}
+    polys = [alpha.entries[z] for z in perms]
+    bound, b = _solve_base(_max_exponent(polys), n, n * (n - 1) // 2 + 1)
+    weights = [b**j for j in range(n)]
+    residue = [_pack(f, weights) for f in polys]
+    ginv = gamma.inverse().images
+    diagonal = []
+    for w in perms:
+        u = [ginv[v - 1] for v in w.images]
+        diagonal.append([
+            weights[w.images[j] - 1] - weights[w.images[i] - 1]
+            for i in range(n) for j in range(i + 1, n) if u[i] < u[j]
+        ])
+    decoded = _Decoder(n, b)
     coeffs: dict[Permutation, LaurentPoly] = {}
-    for w in order:
-        res_w = residue[w]
-        if res_w.is_zero:
+    # fewest binomials first is descending length of gamma^{-1}w
+    for i in sorted(range(len(perms)), key=lambda i: (len(diagonal[i]), i)):
+        w = perms[i]
+        q = {k: c for k, c in residue[i].items() if c}
+        if not q:
             coeffs[w] = LaurentPoly.zero(n)
             continue
-        rows = dict(zip(perms, _restrictions(permuted_grothendieck(w, gamma))))
         try:
-            a_w = exact_div(res_w, rows[w])
+            for d in diagonal[i]:
+                q = _divide_binomial(q, d, 2 * bound)
         except NotDivisibleError as exc:
             raise NotInSpanError(
                 f"residue at {w} is not divisible by the diagonal restriction"
             ) from exc
-        coeffs[w] = a_w
-        for z, rz in rows.items():
-            if not rz.is_zero:
-                residue[z] = residue[z] - a_w * rz
-    for z in perms:
-        if not canonical_zero_test(residue[z]):
+        coeffs[w] = LaurentPoly._raw(n, {decoded[k]: c for k, c in q.items()})
+        minus_q = {k: -c for k, c in q.items()}
+        rows = _packed_restrictions(permuted_grothendieck(w, gamma), False, b)
+        for res, (keys, cs) in zip(residue, rows):
+            if keys:
+                _add_product(res, minus_q, _sums(keys, cs))
+    for z, res in zip(perms, residue):
+        left = {decoded[k]: c for k, c in res.items() if c}
+        if left and not canonical_zero_test(LaurentPoly._raw(n, left)):
             raise InternalInvariantError(f"nonzero residue left at {z} after the solve")
     return coeffs
 
@@ -394,20 +503,34 @@ def decompose(alpha: RestrictionClass, gamma: Permutation) -> dict[Permutation, 
 def recompose(
     coeffs: Mapping[Permutation, LaurentPoly], gamma: Permutation, n: int
 ) -> RestrictionClass:
-    """Assemble sum_w a_w * (localized class of (w, gamma)) from a coefficient map."""
+    """Assemble sum_w a_w * (localized class of (w, gamma)) from a coefficient map.
+
+    The sums run on packed y-keys with one base for the call (_solve_base,
+    one round); only the entries are decoded.
+    """
     if gamma.n != n:
         raise InvalidInputError(f"rank mismatch: {n} vs {gamma.n}")
-    perms = list(all_permutations(n))
-    entries = {z: LaurentPoly.zero(n) for z in perms}
+    items = []
     for w in sorted(coeffs, key=lambda p: p.images):
         c = coeffs[w]
         if c.n != n:
             raise InvalidInputError(f"coefficient at {w} has rank {c.n}, expected {n}")
         if not c.is_y_only():
             raise InvalidInputError(f"coefficient at {w} involves x-variables")
-        if c.is_zero:
-            continue
-        for z, rz in zip(perms, _restrictions(permuted_grothendieck(w, gamma))):
-            if not rz.is_zero:
-                entries[z] = entries[z] + c * rz
-    return RestrictionClass._raw(n, entries)
+        if not c.is_zero:
+            items.append((w, c))
+    _, b = _solve_base(_max_exponent(c for _, c in items), n, 1)
+    weights = [b**j for j in range(n)]
+    perms = list(all_permutations(n))
+    entries: list[dict[int, int]] = [{} for _ in perms]
+    for w, c in items:
+        packed = _pack(c, weights)
+        rows = _packed_restrictions(permuted_grothendieck(w, gamma), False, b)
+        for acc, (keys, cs) in zip(entries, rows):
+            if keys:
+                _add_product(acc, packed, _sums(keys, cs))
+    decoded = _Decoder(n, b)
+    return RestrictionClass._raw(n, {
+        z: LaurentPoly._raw(n, {decoded[k]: c for k, c in acc.items() if c})
+        for z, acc in zip(perms, entries)
+    })

@@ -8,6 +8,7 @@ convention.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence, TypeVar
@@ -158,8 +159,12 @@ def bruhat_leq(v: Permutation, w: Permutation) -> bool:
     """
     if v.n != w.n:
         raise InvalidInputError(f"rank mismatch: {v.n} vs {w.n}")
-    n = v.n
-    vim, wim = v.images, w.images
+    return _rank_leq(v.images, w.images)
+
+
+def _rank_leq(vim: Sequence[int], wim: Sequence[int]) -> bool:
+    """The rank-matrix test of bruhat_leq on two image sequences of one rank."""
+    n = len(vim)
     # j = 1 and i = n rows hold trivially, so both loops stop one short.
     for j in range(2, n + 1):
         cv = cw = 0
@@ -177,12 +182,22 @@ def permuted_bruhat_leq(v: Permutation, w: Permutation, gamma: Permutation) -> b
     """The gamma-permuted Bruhat order: v <=_gamma w iff gamma^{-1}v <= gamma^{-1}w."""
     if not (v.n == w.n == gamma.n):
         raise InvalidInputError("rank mismatch in permuted Bruhat comparison")
-    ginv = gamma.inverse()
-    return bruhat_leq(ginv * v, ginv * w)
+    ginv = [0] * gamma.n
+    for pos, val in enumerate(gamma.images, start=1):
+        ginv[val - 1] = pos
+    return _rank_leq([ginv[a - 1] for a in v.images], [ginv[a - 1] for a in w.images])
+
+
+@functools.cache
+def _lex_permutations(n: int) -> tuple[Permutation, ...]:
+    return tuple(Permutation(p) for p in itertools.permutations(range(1, n + 1)))
 
 
 def all_permutations(n: int) -> Iterator[Permutation]:
     """All n! permutations in lexicographic one-line order.
+
+    Each rank's permutations are built once; every call iterates the same
+    objects.
 
     >>> [p.images for p in all_permutations(2)]
     [(1, 2), (2, 1)]
@@ -191,7 +206,7 @@ def all_permutations(n: int) -> Iterator[Permutation]:
         raise InvalidInputError(f"rank must be positive, got {n}")
     if n > MAX_ENUMERATION_RANK:
         raise LimitExceededError(f"rank {n} exceeds the enumeration bound {MAX_ENUMERATION_RANK}")
-    return (Permutation(p) for p in itertools.permutations(range(1, n + 1)))
+    return iter(_lex_permutations(n))
 
 
 def act_on_weights(gamma: Permutation, values: Sequence[_T]) -> tuple[_T, ...]:

@@ -349,6 +349,31 @@ class TestDecompose:
         assert (code, out) == (2, "")
         assert "'poly' at 1,2 must be an array" in err
 
+    @pytest.mark.parametrize(
+        "z, message",
+        [
+            pytest.param(
+                "(12)",
+                "error: cannot parse '(12)': cycle notation is not accepted; "
+                "use comma-separated one-line notation.",
+                id="cycle-notation",
+            ),
+            pytest.param(
+                [1, 2, 3], "error: permutation '1,2,3' does not have rank 2\n", id="wrong-rank"
+            ),
+        ],
+    )
+    def test_class_file_bad_fixed_point_keeps_its_reason(self, capsys, tmp_path, z, message):
+        data = restriction_class_to_json(restrict_all(top(2)))
+        data["entries"][1]["z"] = z
+        class_file = tmp_path / "class.json"
+        class_file.write_text(json.dumps(data))
+        code, out, err = run(
+            capsys, "decompose", "--n", "2", "--gamma", "1,2", "--class", str(class_file)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(message)
+
     def test_class_outside_the_span_exits_2(self, capsys, tmp_path):
         one = [{"coeff": "1", "x": [0, 0], "y": [0, 0]}]
         data = {"n": 2, "entries": [{"z": "1,2", "poly": one}, {"z": "2,1", "poly": []}]}

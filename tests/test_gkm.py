@@ -523,3 +523,198 @@ class TestDecomposeAgainstPointRoute:
         assert back.entries == recompose_by_points(coeffs, gamma, n)
         for z in all_permutations(n):
             assert canonical_zero_test(back.entries[z] - alpha.entries[z])
+
+
+def wide_y_laurent(rng, n, bound, size):
+    """y-only terms with exponents up to +-bound (extremes included) and
+    coefficients beyond 2**64."""
+    terms = {}
+    for _ in range(size):
+        key = (0,) * n + tuple(
+            rng.choice((-bound, bound, 0, rng.randint(-bound, bound))) for _ in range(n)
+        )
+        terms[key] = rng.choice((1, -1)) * rng.randint(1, 1 << 70)
+    return LaurentPoly(n, terms)
+
+
+def assert_solve_matches_points(coeff_map, gamma, n):
+    """recompose and decompose against the point-by-point routes, and the round trip."""
+    alpha = recompose(coeff_map, gamma, n)
+    assert alpha.entries == recompose_by_points(coeff_map, gamma, n)
+    coeffs = decompose(alpha, gamma)
+    assert coeffs == decompose_by_points(alpha, gamma)
+    for w in all_permutations(n):
+        assert coeffs[w] == coeff_map.get(w, LaurentPoly.zero(n))
+
+
+def diagonal_by_binomials(w, gamma):
+    """prod over i < j with u(i) < u(j), u = gamma^{-1}w, of (1 - y_{w(j)}/y_{w(i)})."""
+    n = w.n
+    u = (gamma.inverse() * w).images
+    out = LaurentPoly.one(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if u[i] < u[j]:
+                yexp = [0] * n
+                yexp[w.images[j] - 1] += 1
+                yexp[w.images[i] - 1] -= 1
+                out = out * (1 - LaurentPoly.monomial(n, 1, yexp=yexp))
+    return out
+
+
+def exponent_size(polys):
+    return max((abs(e) for f in polys for key in f.terms for e in key), default=0)
+
+
+class TestPackedSolve:
+    """The packed decompose and recompose against the routes that restrict
+    point by point and divide with laurent.exact_div."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_gamma(self, n):
+        rng = random.Random(100 + n)
+        perms = list(all_permutations(n))
+        for gamma in perms:
+            chosen = rng.sample(perms, rng.randint(1, len(perms)))
+            assert_solve_matches_points(
+                {w: random_y_monomial(rng, n) for w in chosen}, gamma, n
+            )
+            # a product of two permuted classes, the benchmark's shape
+            a, b = (permuted_grothendieck(rng.choice(perms), gamma) for _ in range(2))
+            alpha = restrict_all(a * b)
+            coeffs = decompose(alpha, gamma)
+            assert coeffs == decompose_by_points(alpha, gamma)
+            assert recompose(coeffs, gamma, n).entries == alpha.entries
+
+    def test_seeded_gamma_rank_five(self):
+        # rank 4: TestDecomposeAgainstPointRoute.test_round_trips_rank_four
+        n = 5
+        rng = random.Random(205)
+        perms = list(all_permutations(n))
+        for _ in range(3):
+            gamma = rng.choice(perms)
+            chosen = rng.sample(perms, 4)
+            assert_solve_matches_points(
+                {w: random_y_monomial(rng, n) for w in chosen}, gamma, n
+            )
+
+    @pytest.mark.parametrize("bound", [1, 3, 1000, 10**6])
+    def test_wide_coefficients(self, bound):
+        rng = random.Random(bound)
+        for n in (2, 3, 4):
+            perms = list(all_permutations(n))
+            gamma = rng.choice(perms)
+            chosen = rng.sample(perms, min(3, len(perms)))
+            coeff_map = {w: wide_y_laurent(rng, n, bound, rng.randint(1, 4)) for w in chosen}
+            assert_solve_matches_points(coeff_map, gamma, n)
+
+    def test_outside_the_span(self):
+        rng = random.Random(7)
+        for n in (2, 3, 4):
+            perms = list(all_permutations(n))
+            for _ in range(4):
+                gamma = rng.choice(perms)
+                alpha = recompose({rng.choice(perms): random_y_monomial(rng, n)}, gamma, n)
+                # one extra monomial at one point leaves the span
+                z = rng.choice(perms)
+                entries = dict(alpha.entries)
+                entries[z] = entries[z] + random_y_monomial(rng, n)
+                bad = RestrictionClass(n, entries)
+                with pytest.raises(NotInSpanError) as by_points:
+                    decompose_by_points(bad, gamma)
+                with pytest.raises(NotInSpanError) as packed:
+                    decompose(bad, gamma)
+                assert str(packed.value) == f"{by_points.value} by the diagonal restriction"
+
+    def test_lines_folded_by_the_packing_stay_apart(self):
+        # the diagonal at w = 3,1,2 is 1 - y2/y1. The keys of 1 and y3/y2 lie
+        # on one line k + dZ of packed keys for it (B steps apart), but not on
+        # one line of exponents: a carry across that gap would make a quotient
+        n = 3
+        w = Permutation((3, 1, 2))
+        y2_over_y1 = LaurentPoly.monomial(n, 1, yexp=(-1, 1, 0))
+        assert diagonal_by_binomials(w, Permutation.identity(n)) == 1 - y2_over_y1
+        entries = {z: LaurentPoly.zero(n) for z in all_permutations(n)}
+        entries[w] = 1 - LaurentPoly.monomial(n, 1, yexp=(0, -1, 1))
+        bad = RestrictionClass(n, entries)
+        with pytest.raises(NotInSpanError, match="^residue at 3,1,2 is not divisible$"):
+            decompose_by_points(bad, Permutation.identity(n))
+        with pytest.raises(
+            NotInSpanError,
+            match="^residue at 3,1,2 is not divisible by the diagonal restriction$",
+        ):
+            decompose(bad, Permutation.identity(n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_diagonal_is_a_product_of_binomials(self, n):
+        perms = list(all_permutations(n))
+        for w in perms:
+            for gamma in perms:
+                assert restrict(permuted_grothendieck(w, gamma), w) == diagonal_by_binomials(
+                    w, gamma
+                )
+
+    def test_solve_base_arithmetic(self):
+        for m in (0, 1, 3, 1000, 10**6):
+            for n in (1, 2, 3, 4, 5):
+                for rounds in (1, n * (n - 1) // 2 + 1):
+                    bound, b = gkm._solve_base(m, n, rounds)
+                    assert bound == m + (n - 1) * rounds
+                    assert b > 8 * bound and b & (b - 1) == 0 and (b == 1 or b <= 16 * bound)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_basis_restrictions_meet_the_base_premises(self, n):
+        # every exponent of a restriction is at most n - 1 in size, and the
+        # restriction is exactly 0 (not only modulo the determinant) off [e, u]
+        perms = list(all_permutations(n))
+        for u in perms:
+            alpha = restrict_all(grothendieck(u))
+            assert exponent_size(alpha.entries.values()) <= n - 1
+            for z in perms:
+                assert alpha.entries[z].is_zero is not bruhat_leq(z, u)
+
+    @pytest.mark.parametrize("bound", [1, 3, 1000])
+    def test_solves_stay_inside_the_bound(self, bound):
+        # the largest exponent of the input, the coefficients and every product
+        # a_w * (restriction at z) bounds every residue of the solve
+        rng = random.Random(300 + bound)
+        for n in (3, 4):
+            perms = list(all_permutations(n))
+            gamma = rng.choice(perms)
+            coeff_map = {w: wide_y_laurent(rng, n, bound, 2) for w in rng.sample(perms, 3)}
+            alpha = recompose(coeff_map, gamma, n)
+            coeffs = decompose_by_points(alpha, gamma)
+            seen = [exponent_size(alpha.entries.values()), exponent_size(coeffs.values())]
+            for w, c in coeffs.items():
+                gw = permuted_grothendieck(w, gamma)
+                seen += [exponent_size([c * restrict(gw, z)]) for z in perms if not c.is_zero]
+            m = exponent_size(alpha.entries.values())
+            limit, _ = gkm._solve_base(m, n, n * (n - 1) // 2 + 1)
+            assert max(seen) <= limit
+
+
+class TestWalkEarlyStop:
+    @pytest.mark.parametrize(
+        "make",
+        [top, lambda n: LaurentPoly.one(n), LaurentPoly.zero, lambda n: grothendieck(
+            Permutation((2, 1) + tuple(range(3, n + 1))))],
+        ids=["top", "constant", "zero", "s1"],
+    )
+    def test_one_point_test_per_point(self, monkeypatch, make):
+        n = 4
+        calls = []
+        real = gkm._nonzero_at
+        monkeypatch.setattr(
+            gkm, "_nonzero_at", lambda keys, coeffs: calls.append(1) or real(keys, coeffs)
+        )
+        f = make(n)
+        assert support(f) == support_by_substitution(f)
+        assert len(calls) == 24
+
+    def test_points_below_a_stopped_node_share_the_value(self):
+        # x_2, ..., x_4 do not occur, so the walk stops after z(1)
+        f = LaurentPoly.x(4, 1) - LaurentPoly.y(4, 2)
+        rows = list(gkm._packed_restrictions(f, False))
+        assert len(rows) == 24
+        assert all(rows[i] is rows[6 * (i // 6)] for i in range(24))
+        assert_walk_matches_points(f)

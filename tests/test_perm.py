@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from kflag import perm
 from kflag.errors import InvalidInputError, LimitExceededError
 from kflag.perm import (
     Permutation,
@@ -174,6 +176,21 @@ class TestPermutedBruhat:
         for v in all_permutations(3):
             assert permuted_bruhat_leq(v, v, gamma)
 
+    def test_is_bruhat_of_the_relabelled_pair_rank_four(self):
+        perms = list(all_permutations(4))
+        triples = 0
+        for gamma in perms:
+            ginv = gamma.inverse()
+            for v in perms:
+                for w in perms:
+                    assert permuted_bruhat_leq(v, w, gamma) == bruhat_leq(ginv * v, ginv * w)
+                    triples += 1
+        assert triples == 13_824
+
+    def test_rank_mismatch(self):
+        with pytest.raises(InvalidInputError):
+            permuted_bruhat_leq(P(1, 2), P(2, 1), P(1, 2, 3))
+
 
 class TestEnumerate:
     def test_small_ranks(self):
@@ -184,11 +201,26 @@ class TestEnumerate:
         assert s3 == sorted(s3)
         assert s3[0] == (1, 2, 3)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_lex_order(self, n):
+        assert [p.images for p in all_permutations(n)] == sorted(
+            itertools.permutations(range(1, n + 1))
+        )
+
+    def test_every_call_iterates_the_same_objects(self):
+        for n in (1, 3, 5):
+            first, second = list(all_permutations(n)), list(all_permutations(n))
+            assert len(first) == len(second)
+            assert all(a is b for a, b in zip(first, second))
+
     def test_bound(self):
         with pytest.raises(LimitExceededError):
             all_permutations(9)
         with pytest.raises(InvalidInputError):
             all_permutations(0)
+        with pytest.raises(InvalidInputError):
+            all_permutations(-1)
+        assert perm.MAX_ENUMERATION_RANK == 8
 
 
 class TestWeightAction:
