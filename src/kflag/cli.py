@@ -27,7 +27,6 @@ from .errors import (
 from .laurent import (
     LaurentPoly,
     poly_from_json,
-    polys_to_json,
     render_poly,
     write_json,
 )
@@ -186,13 +185,22 @@ def _cmd_kernel(args) -> int:
         _emit_json([gen.json_tree() for gen in gens])
     else:
         # the generators share their key tuples, so one memo renders each
-        # distinct monomial once
+        # distinct monomial once; generators of one v share their polys, so
+        # a second memo, cleared when v changes, renders each poly once
         memo: dict = {}
+        rendered: dict[int, str] = {}
+        v = None
         for gen in gens:
+            if gen.v is not v:
+                v = gen.v
+                rendered.clear()
+            text = rendered.get(id(gen.poly))
+            if text is None:
+                text = rendered[id(gen.poly)] = render_poly(gen.poly, memo)
             ks = ",".join(map(str, gen.witnesses))
             print(
                 f"v={gen.v.one_line()} gamma={gen.gamma.one_line()}"
-                f" witnesses={ks} poly={render_poly(gen.poly, memo)}"
+                f" witnesses={ks} poly={text}"
             )
     return 0
 
@@ -245,16 +253,6 @@ def restriction_class_from_json(data) -> gkm.RestrictionClass:
             raise InvalidInputError(f"class entry 'poly' at {z.one_line()} must be an array")
         entries[z] = poly_from_json(terms) if terms else LaurentPoly.zero(n)
     return gkm.RestrictionClass(n, entries)
-
-
-def restriction_class_to_json(alpha: gkm.RestrictionClass) -> dict:
-    return polys_to_json({
-        "n": alpha.n,
-        "entries": [
-            {"z": list(z.images), "poly": alpha.entries[z]}
-            for z in sorted(alpha.entries, key=lambda p: p.images)
-        ],
-    })
 
 
 # -- parser ----------------------------------------------------------------------

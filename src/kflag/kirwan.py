@@ -11,10 +11,13 @@ ideal and the determinant relation.
 
 Each generator relabels a base class: its class is permute_y(gamma, G_{v^-1})
 and its support gamma * supp(G_{v^-1}), so soundness needs one support per v.
-kernel_generators relabels each distinct key of the base classes once per
-gamma, and its generators share their key tuples: at rank 5 the 105 base
-classes hold 776 distinct keys, and the 11,520 generators' 1.09 M terms
-hold 9,366.
+G_{v^-1} is symmetric in y_j, y_{j+1} exactly when v(j) > v(j+1), so the
+generators of one v whose gammas differ by those s_j share one polynomial.
+kernel_generators builds one term dict per such coset, relabelling each
+distinct key of the base classes once per gamma, and its generators share
+their key tuples: at rank 5 the 105 base classes hold 776 distinct keys,
+and the 11,520 generators hold 3,195 distinct polynomials with 455,751
+terms (1.09 M counted per generator) over 9,366 distinct keys.
 """
 
 from __future__ import annotations
@@ -241,7 +244,8 @@ class KernelGenerator:
 
     The polynomial is the operator word of v applied to the top class with
     y-variables relabeled by gamma; witnesses are the cut positions k at
-    which the defining strict inequality holds.
+    which the defining strict inequality holds. Generators with equal
+    polynomials may share one immutable poly object.
     """
 
     v: Permutation
@@ -277,7 +281,9 @@ def kernel_generators(lam: WeightVector, mu: WeightVector) -> tuple[KernelGenera
 
     Requires mu regular (wall avoidance) and lam generic; refuses to emit
     anything otherwise. One generator is returned per qualifying pair, with
-    every qualifying k recorded, in lexicographic (v, gamma) order.
+    every qualifying k recorded, in lexicographic (v, gamma) order. The
+    generators of one v whose gammas lie in one coset of the group generated
+    by the s_j at v's descents share one poly, built for the first of them.
     """
     # ranks above MAX_WEIGHT_RANK keep the weight-layer message of _regularity
     if MAX_KERNEL_RANK < lam.n <= MAX_WEIGHT_RANK:
@@ -310,14 +316,25 @@ def kernel_generators(lam: WeightVector, mu: WeightVector) -> tuple[KernelGenera
     for g in dict.fromkeys(g for _, g, _ in rows):
         keys = list(map(_slot_getter(g, n), index))
         tables[g] = list(map(pool.setdefault, keys, keys))
-    picks = {
-        v: (_picker(list(map(index.__getitem__, f.terms))), list(f.terms.values()))
-        for v, f in bases.items()
-    }
+    # G_{v^-1} is symmetric in y_j, y_{j+1} iff v(j) > v(j+1), so gamma and
+    # gamma * s_j give one class. A coset's key is gamma's images sorted
+    # within each run of positions that v's descents join
     gens = []
+    cosets: dict[tuple, tuple[int, ...]] = {}
     for v, g, ks in rows:
-        pick, coeffs = picks[v]
-        poly = LaurentPoly._raw(n, dict(zip(pick(tables[g]), coeffs)))
+        if not gens or gens[-1].v is not v:
+            base = bases[v]
+            pick = _picker(list(map(index.__getitem__, base.terms)))
+            coeffs = list(base.terms.values())
+            ends = [j for j in range(1, n) if v.images[j - 1] < v.images[j]]
+            runs = tuple(zip([0, *ends], [*ends, n]))
+            shared: dict[tuple[int, ...], LaurentPoly] = {}
+        coset = cosets.get((runs, g))
+        if coset is None:
+            coset = cosets[runs, g] = tuple(i for a, b in runs for i in sorted(g.images[a:b]))
+        poly = shared.get(coset)
+        if poly is None:
+            poly = shared[coset] = LaurentPoly._raw(n, dict(zip(pick(tables[g]), coeffs)))
         gens.append(KernelGenerator(v, g, ks, poly))
     return tuple(gens)
 

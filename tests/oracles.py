@@ -25,7 +25,7 @@ from kflag.ddo import pi
 from kflag.errors import InvalidInputError, NotDivisibleError, NotInSpanError
 from kflag.gkm import restrict
 from kflag.groth import permuted_grothendieck
-from kflag.laurent import LaurentPoly, exact_div
+from kflag.laurent import LaurentPoly, exact_div, polys_to_json
 from kflag.perm import Permutation, all_permutations
 
 # -- tuple permutation helpers (1-based images, independent of kflag.perm) ------
@@ -361,3 +361,18 @@ def recompose_by_points(coeffs: dict, gamma: Permutation, n: int) -> dict:
         for z in perms:
             entries[z] = entries[z] + c * restrict(gw, z)
     return entries
+
+
+# -- restriction-class files ------------------------------------------------------
+
+
+def restriction_class_to_json(alpha) -> dict:
+    """The class-file JSON of a RestrictionClass that kflag decompose --class
+    reads: {"n": N, "entries": [{"z": [...], "poly": [...]}, ...]}, sorted by z."""
+    return polys_to_json({
+        "n": alpha.n,
+        "entries": [
+            {"z": list(z.images), "poly": alpha.entries[z]}
+            for z in sorted(alpha.entries, key=lambda p: p.images)
+        ],
+    })

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -13,17 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kflag import groth, kirwan
-from kflag.cli import (
-    build_parser,
-    main,
-    restriction_class_from_json,
-    restriction_class_to_json,
-)
+from kflag.cli import build_parser, main, restriction_class_from_json
 from kflag.errors import InvalidInputError, LimitExceededError
 from kflag.gkm import decompose, restrict_all
 from kflag.groth import top
 from kflag.laurent import poly_from_json, poly_to_json, render_poly
 from kflag.perm import Permutation
+
+from oracles import restriction_class_to_json
 
 
 def run(capsys, *argv):
@@ -428,7 +426,8 @@ class TestWeightCommands:
         assert "wall" in err
 
     def test_kernel_text_matches_per_generator_rendering(self, capsys):
-        # the command renders through one memo shared by all generators
+        # the command renders through one memo shared by all generators, and
+        # each poly that generators of one v share once
         lam, mu = "3,1,-1,-3", "31/97,17/97,-11/97,-37/97"
         code, out, _ = run(capsys, "kernel", "--lambda", lam, "--mu", mu)
         assert code == 0
@@ -440,6 +439,17 @@ class TestWeightCommands:
             f" witnesses={','.join(map(str, g.witnesses))} poly={render_poly(g.poly)}"
             for g in gens
         ]
+
+    @pytest.mark.slow
+    def test_rank_five_kernel_text_is_pinned(self, capsys):
+        # 31,067,472 bytes; 3,195 distinct polys among 11,520 generators
+        code, out, _ = run(
+            capsys, "kernel", "--lambda", "4,2,0,-2,-4", "--mu", "31/97,17/97,5/97,-11/97,-42/97"
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "d5bcbace7138caad2b3affd06c27f43e5bf0e8a5c1ec7804c4e81668424dd96c"
+        )
 
     @pytest.mark.parametrize(
         "lam, mu",

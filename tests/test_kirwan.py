@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from kflag.kirwan import (
 from kflag.laurent import LaurentPoly, elementary_symmetric, poly_to_json
 from kflag.perm import Permutation, all_permutations, permuted_bruhat_leq
 
-from oracles import permute_y_by_terms, pi_word
+from oracles import permute_y_by_terms, pi_word, t_simple
 
 
 def W(text):
@@ -229,6 +230,46 @@ class TestIsRegular:
             assert Fraction(-2, 3) in {h.value for h in cert.walls}
 
 
+def descent_coset_key(v, gamma):
+    """gamma's images sorted within each run of positions i, i + 1, ... that
+    v's descents v(i) > v(i + 1) join: the coset of gamma under the s_i at
+    v's descents."""
+    key, run = [], [gamma(1)]
+    for i in range(1, v.n):
+        if v(i) < v(i + 1):
+            key += sorted(run)
+            run = []
+        run.append(gamma(i + 1))
+    return tuple(key + sorted(run))
+
+
+def symmetric_in_adjacent_y(f, j):
+    """Whether f is fixed by swapping y_j and y_{j+1}, by the oracle's relabelling."""
+    return permute_y_by_terms(Permutation(t_simple(f.n, j)), f) == f
+
+
+class TestBaseClassSymmetry:
+    # G_{v^-1} is symmetric in y_j, y_{j+1} exactly at the descents of v:
+    # the fact behind kernel_generators sharing one poly per coset of gamma
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_symmetric_iff_descent(self, n):
+        perms = list(all_permutations(n))
+        if n == 6:
+            # all 720 rank-6 classes take several seconds; 60 seeded ones
+            perms = random.Random(12).sample(perms, 60)
+        for v in perms:
+            f = grothendieck(v.inverse())
+            for j in range(1, n):
+                assert symmetric_in_adjacent_y(f, j) == (v(j) > v(j + 1)), (v, j)
+
+    def test_coset_key(self):
+        v = Permutation((3, 1, 2, 5, 4))  # descents at 1 and 4
+        gamma = Permutation((4, 2, 5, 3, 1))
+        assert descent_coset_key(v, gamma) == (2, 4, 5, 1, 3)
+        assert descent_coset_key(Permutation.identity(5), gamma) == gamma.images
+
+
 class TestKernelGenerators:
     def test_rank_two_exact_output(self):
         lam, mu = W("1/2,-1/2"), W("0,0")
@@ -300,15 +341,17 @@ class TestKernelGenerators:
     )
     def test_matches_per_pair_route(self, lam, mu):
         # oracle: witnesses from eta_value Fractions, polynomials relabelled
-        # one exponent at a time, pair by pair; the terms must also come in
-        # the order of the base class
+        # one exponent at a time, pair by pair. Generators of one v with
+        # equal polys share one, built by the first of them, so the terms
+        # come in the base order relabelled by that first gamma
         lam, mu = W(lam), W(mu)
-        expected = []
+        expected, firsts = [], {}
         for v, g, tails in tail_pairs_by_eta(lam, mu):
             ks = tuple(k for k, a, b in tails if a < b)
             if ks:
-                poly = permute_y_by_terms(g, grothendieck(v.inverse()))
-                expected.append((v, g, ks, list(poly.terms.items())))
+                terms = permute_y_by_terms(g, grothendieck(v.inverse())).terms
+                first = firsts.setdefault((v, frozenset(terms.items())), list(terms.items()))
+                expected.append((v, g, ks, first))
         gens = kernel_generators(lam, mu)
         got = [(g.v, g.gamma, g.witnesses, list(g.poly.terms.items())) for g in gens]
         assert got == expected
@@ -329,6 +372,32 @@ class TestKernelGenerators:
         assert len({id(k) for k in keys}) == len(set(keys)) < len(keys)
         if W(lam).n == 5:
             assert (len(set(keys)), len(keys)) == (9366, 1085892)
+
+    @pytest.mark.parametrize(
+        "lam, mu",
+        [
+            ("1,0,-1", "1/4,1/8,-3/8"),
+            ("3,1,-1,-3", "31/97,17/97,-11/97,-37/97"),
+            (RANK5_LAM, RANK5_MU),
+        ],
+        ids=["rank3", "rank4", "rank5"],
+    )
+    def test_generators_share_one_poly_per_coset(self, lam, mu):
+        # one object per (v, coset of gamma), and distinct cosets hold
+        # unequal polys, so no two objects could have been one
+        gens = kernel_generators(W(lam), W(mu))
+        by_coset = {}
+        for gen in gens:
+            by_coset.setdefault((gen.v, descent_coset_key(gen.v, gen.gamma)), []).append(gen)
+        for members in by_coset.values():
+            assert all(gen.poly is members[0].poly for gen in members)
+        polys = {id(gen.poly): gen.poly for gen in gens}
+        assert len(polys) == len(by_coset)
+        values = {(v, frozenset(m[0].poly.terms.items())) for (v, _), m in by_coset.items()}
+        assert len(values) == len(by_coset)
+        if W(lam).n == 5:
+            counts = (len(polys), sum(len(p.terms) for p in polys.values()))
+            assert counts == (3195, 455751)
 
     def test_jobs_do_not_change_output(self):
         lam, mu = W("1,0,-1"), W("1/4,1/8,-3/8")

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kflag.cli import restriction_class_to_json
 from kflag.errors import InvalidInputError, NotDivisibleError
 from kflag.laurent import (
     LaurentPoly,
@@ -33,6 +32,7 @@ from oracles import (
     permute_y_by_terms,
     random_laurent,
     random_point,
+    restriction_class_to_json,
     substitute,
 )
 
