@@ -13,11 +13,13 @@ Each generator relabels a base class: its class is permute_y(gamma, G_{v^-1})
 and its support gamma * supp(G_{v^-1}), so soundness needs one support per v.
 G_{v^-1} is symmetric in y_j, y_{j+1} exactly when v(j) > v(j+1), so the
 generators of one v whose gammas differ by those s_j share one polynomial.
-kernel_generators builds one term dict per such coset, relabelling each
-distinct key of the base classes once per gamma, and its generators share
-their key tuples: at rank 5 the 105 base classes hold 776 distinct keys,
-and the 11,520 generators hold 3,195 distinct polynomials with 455,751
-terms (1.09 M counted per generator) over 9,366 distinct keys.
+kernel_generators builds one term dict per such coset. It splits each
+distinct key of the base classes into its x part and its y part, relabels
+each distinct y part once per gamma and builds each relabelled key once, so
+its generators share their key tuples: at rank 5 the 105 base classes hold
+776 distinct keys over 120 x parts and 120 y parts, and the 11,520
+generators hold 3,195 distinct polynomials with 455,751 terms (1.09 M
+counted per generator) over 9,366 distinct keys.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count
-from operator import itemgetter, lt
+from itertools import accumulate, compress, count
+from operator import add, itemgetter, lt
 from typing import Sequence
 
 from .errors import (
@@ -46,8 +48,9 @@ from .laurent import (
 from .perm import Permutation, act_on_weights, all_permutations
 
 
-#: Ceiling for the weight layer: is_regular compares (n!)^2 pairs of tail sums,
-#: and kernel_generators and presentation go through it.
+#: Ceiling for the weight layer: is_regular's certificate can list up to
+#: (n!)^2 (n-1) walls (207,360 at rank 6 for mu = 0), and kernel_generators
+#: and presentation go through it.
 MAX_WEIGHT_RANK = 6
 
 #: Ceiling for kernel_generators and presentation: the staircase rank-6 kernel
@@ -177,16 +180,13 @@ class RegularityCertificate:
         return {"regular": self.regular, "walls": [w.to_json_obj() for w in self.walls]}
 
 
-def _tail_sums(values: Sequence, perms: Sequence[Permutation]) -> dict[Permutation, tuple]:
-    # tails[p][k-1] = sum of values over the slots p(k+1), ..., p(n)
-    n = len(values)
-    out = {}
+def _tail_sums(values: Sequence, perms: Sequence[Permutation]) -> list[tuple]:
+    # tails[i][k-1] = sum of values over the slots p(k+1), ..., p(n), p = perms[i]
+    out = []
     for p in perms:
-        vals = [values[i - 1] for i in p.images]
-        suffix = [0] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            suffix[i] = suffix[i + 1] + vals[i]
-        out[p] = tuple(suffix[1:n])
+        # sums[m] is the sum over the last m + 1 slots, so cut k reads sums[n-k-1]
+        sums = list(accumulate(values[i - 1] for i in reversed(p.images)))
+        out.append(tuple(sums[-2::-1]))
     return out
 
 
@@ -202,8 +202,8 @@ def _scaled(lam: WeightVector, mu: WeightVector) -> tuple[int, list[int], list[i
 
 
 def _regularity(lam: WeightVector, mu: WeightVector) -> tuple:
-    """is_regular's certificate, with the permutations and integer tail sums
-    it compared, for kernel_generators to reuse."""
+    """is_regular's certificate, with the permutations and the integer tail
+    sums it compared (lists by permutation position), for kernel_generators."""
     if lam.n != mu.n:
         raise InvalidInputError(f"rank mismatch: {lam.n} vs {mu.n}")
     if lam.n > MAX_WEIGHT_RANK:
@@ -214,14 +214,21 @@ def _regularity(lam: WeightVector, mu: WeightVector) -> tuple:
     perms = list(all_permutations(lam.n))
     d, lam_ints, mu_ints = _scaled(lam, mu)
     lam_tails, mu_tails = _tail_sums(lam_ints, perms), _tail_sums(mu_ints, perms)
-    walls = []
-    for v in perms:
-        lam_t = lam_tails[v]
-        for g in perms:
-            for k, (a, b) in enumerate(zip(lam_t, mu_tails[g]), 1):
-                if a == b:
-                    walls.append(WallHit(v, g, k, Fraction(a, d)))
-    return RegularityCertificate(not walls, tuple(walls)), perms, lam_tails, mu_tails
+    # a wall is a value that a lam tail and a mu tail share at one cut: each
+    # cut groups the n! mu positions by value and looks up the n! lam values
+    hits = []
+    for k in range(lam.n - 1):
+        at: dict[int, list[int]] = {}
+        for j, t in enumerate(mu_tails):
+            at.setdefault(t[k], []).append(j)
+        for i, t in enumerate(lam_tails):
+            if t[k] in at:
+                value = Fraction(t[k], d)
+                hits += [(i, j, k + 1, value) for j in at[t[k]]]
+    # (i, j, k) is unique, so the sort never compares values
+    hits.sort()
+    walls = tuple(WallHit(perms[i], perms[j], k, value) for i, j, k, value in hits)
+    return RegularityCertificate(not walls, walls), perms, lam_tails, mu_tails
 
 
 def is_regular(lam: WeightVector, mu: WeightVector) -> RegularityCertificate:
@@ -296,46 +303,63 @@ def kernel_generators(lam: WeightVector, mu: WeightVector) -> tuple[KernelGenera
         )
     n = lam.n
     cuts = range(1, n)
+    # rows, base classes and coset memos hold positions in perms, so the
+    # loops hash no Permutation
     rows = []
-    bases: dict[Permutation, LaurentPoly] = {}
-    for v in perms:
-        lam_t = lam_tails[v]
-        for g in perms:
-            ks = tuple(compress(cuts, map(lt, lam_t, mu_tails[g])))
+    bases: dict[int, LaurentPoly] = {}
+    for i, lam_t in enumerate(lam_tails):
+        for j, mu_t in enumerate(mu_tails):
+            ks = tuple(compress(cuts, map(lt, lam_t, mu_t)))
             if ks:
-                rows.append((v, g, ks))
-        if rows and rows[-1][0] is v:
+                rows.append((i, j, ks))
+        if rows and rows[-1][0] == i:
             # pi_v of the top class is the plain class of v^{-1}; the
             # operators commute with the y-relabeling by gamma
-            bases[v] = grothendieck(v.inverse())
-    # every distinct base key is relabelled once per gamma into a table,
-    # interned through one pool; a generator picks its base's keys from it
+            bases[i] = grothendieck(perms[i].inverse())
+    # a gamma's table holds every distinct base key relabelled by it. A key
+    # splits into its x part and its y part, and each distinct y part is
+    # relabelled once per gamma; a relabelled key is built once, found by
+    # x id + len(xs) * (relabelled y id)
     index = dict(zip(dict.fromkeys(k for f in bases.values() for k in f.terms), count()))
-    pool: dict[tuple[int, ...], tuple[int, ...]] = {}
-    tables = {}
-    for g in dict.fromkeys(g for _, g, _ in rows):
-        keys = list(map(_slot_getter(g, n), index))
-        tables[g] = list(map(pool.setdefault, keys, keys))
+    xs: dict[tuple[int, ...], int] = {}
+    ys: dict[tuple[int, ...], int] = {}
+    key_x = [xs.setdefault(k[:n], len(xs)) for k in index]
+    key_y = [ys.setdefault(k[n:], len(ys)) for k in index]
+    x_parts, y_parts, m = list(xs), list(ys), len(xs)
+    relabelled: dict[tuple[int, ...], int] = {}
+    pool: dict[int, tuple[int, ...]] = {}
+    ids, tables = count(), {}
+    for j in dict.fromkeys(j for _, j, _ in rows):
+        rel = list(map(_picker([s - 1 for s in perms[j].inverse().images]), y_parts))
+        rel_ids = list(map(relabelled.setdefault, rel, ids))
+        by_id = dict(zip(rel_ids, rel))
+        codes = list(map(add, key_x, map([m * r for r in rel_ids].__getitem__, key_y)))
+        for c in set(codes).difference(pool):
+            pool[c] = x_parts[c % m] + by_id[c // m]
+        tables[j] = list(map(pool.__getitem__, codes))
     # G_{v^-1} is symmetric in y_j, y_{j+1} iff v(j) > v(j+1), so gamma and
     # gamma * s_j give one class. A coset's key is gamma's images sorted
-    # within each run of positions that v's descents join
+    # within each run of positions that v's descents join, memoised per runs
+    cosets: dict[tuple, dict[int, tuple[int, ...]]] = {}
     gens = []
-    cosets: dict[tuple, tuple[int, ...]] = {}
-    for v, g, ks in rows:
-        if not gens or gens[-1].v is not v:
-            base = bases[v]
+    current = None
+    for i, j, ks in rows:
+        if i != current:
+            current, v, base = i, perms[i], bases[i]
             pick = _picker(list(map(index.__getitem__, base.terms)))
             coeffs = list(base.terms.values())
-            ends = [j for j in range(1, n) if v.images[j - 1] < v.images[j]]
+            ends = [e for e in range(1, n) if v.images[e - 1] < v.images[e]]
             runs = tuple(zip([0, *ends], [*ends, n]))
+            coset_of = cosets.setdefault(runs, {})
             shared: dict[tuple[int, ...], LaurentPoly] = {}
-        coset = cosets.get((runs, g))
+        coset = coset_of.get(j)
         if coset is None:
-            coset = cosets[runs, g] = tuple(i for a, b in runs for i in sorted(g.images[a:b]))
+            images = perms[j].images
+            coset = coset_of[j] = tuple(c for a, b in runs for c in sorted(images[a:b]))
         poly = shared.get(coset)
         if poly is None:
-            poly = shared[coset] = LaurentPoly._raw(n, dict(zip(pick(tables[g]), coeffs)))
-        gens.append(KernelGenerator(v, g, ks, poly))
+            poly = shared[coset] = LaurentPoly._raw(n, dict(zip(pick(tables[j]), coeffs)))
+        gens.append(KernelGenerator(v, perms[j], ks, poly))
     return tuple(gens)
 
 
@@ -384,16 +408,15 @@ def kernel_soundness(
             base = grothendieck(v.inverse())
             supp = list(support(base))
             invs = [p.inverse() for p in supp]
-            tails = _tail_sums(lam.entries, invs)
-            ints = _tail_sums(lam_ints, invs)
             # (gamma * p)(i) = gamma(p(i)): z is read through p's slots
             picks = [_picker([i - 1 for i in p.images]) for p in supp]
-            bases[v] = base, [(pick, tails[q], ints[q]) for pick, q in zip(picks, invs)]
+            tails = zip(picks, _tail_sums(lam.entries, invs), _tail_sums(lam_ints, invs))
+            bases[v] = base, list(tails)
         if gamma not in levels:
             levels[gamma] = (
                 _slot_getter(gamma, v.n),
-                _tail_sums(mu.entries, [gamma])[gamma],
-                _tail_sums(mu_ints, [gamma])[gamma],
+                _tail_sums(mu.entries, [gamma])[0],
+                _tail_sums(mu_ints, [gamma])[0],
             )
         base, base_points = bases[v]
         get, level, level_ints = levels[gamma]

@@ -42,10 +42,57 @@ def tail_pairs_by_eta(lam, mu):
     return [(v, g, list(zip(cuts, lam_tails[v], mu_tails[g]))) for v in perms for g in perms]
 
 
+def walls_by_eta(lam, mu):
+    """Every (v, gamma, k, value) whose eta_value tails are equal, in lexicographic order."""
+    return [(v, g, k, a) for v, g, tails in tail_pairs_by_eta(lam, mu) for k, a, b in tails if a == b]
+
+
+def tied_levels(lam, seed):
+    """Seeded rational levels, the one for cut k moved onto the wall of a random
+    (v, gamma, k): mu gains a constant on gamma's tail slots and loses it
+    elsewhere, keeping its sum zero."""
+    rng = random.Random(seed)
+    n = lam.n
+    perms = list(all_permutations(n))
+    levels = []
+    for k in range(1, n):
+        entries = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+        mean = sum(entries) / n
+        mu = [e - mean for e in entries]
+        v, g = rng.choice(perms), rng.choice(perms)
+        tail = [g(i) - 1 for i in range(k + 1, n + 1)]
+        shift = (eta_value(v, k, lam) - sum(mu[s] for s in tail)) / len(tail)
+        levels.append(
+            WeightVector(tuple(e + shift if s in tail else e - shift * len(tail) / k
+                               for s, e in enumerate(mu)))
+        )
+    return levels
+
+
 # thirds against sevenths: the integer tail sums are scaled by D = 21
 MIXED_LAM, MIXED_MU = "2,1/3,-2/3,-5/3", "3/7,1/7,-1/7,-3/7"
 # the staircase at rank 5: 11,520 generators over 105 base classes
 RANK5_LAM, RANK5_MU = "4,2,0,-2,-4", "31/97,17/97,5/97,-11/97,-42/97"
+# one generic lambda per rank for the wall-certificate oracle
+ORACLE_LAMS = {2: "1/2,-1/2", 3: "1,0,-1", 4: MIXED_LAM, 5: RANK5_LAM}
+
+
+def wall_cases():
+    """(id, lam, mu) for the wall-certificate oracle: mu = 0, mu = lam and the
+    tied levels at ranks 2-5, every moment image at rank 3, and the regular
+    rank-5 level."""
+    cases = []
+    for n, lam in ORACLE_LAMS.items():
+        lam = W(lam)
+        cases += [(f"rank{n}-zero", lam, WeightVector((0,) * n)), (f"rank{n}-lambda", lam, lam)]
+        cases += [(f"rank{n}-tied{k}", lam, mu) for k, mu in enumerate(tied_levels(lam, n), 1)]
+    lam = W(ORACLE_LAMS[3])
+    for w in all_permutations(3):
+        cases.append(("rank3-image" + "".join(map(str, w.images)), lam, moment_image(lam, w)))
+    return cases + [("rank5-regular", W(RANK5_LAM), W(RANK5_MU))]
+
+
+WALL_CASES = wall_cases()
 
 
 class TestWeightVector:
@@ -215,12 +262,7 @@ class TestIsRegular:
     )
     def test_mixed_denominators_match_eta_brute_force(self, lam, mu):
         lam, mu = W(lam), W(mu)
-        expected = [
-            (v, g, k, a)
-            for v, g, tails in tail_pairs_by_eta(lam, mu)
-            for k, a, b in tails
-            if a == b
-        ]
+        expected = walls_by_eta(lam, mu)
         cert = is_regular(lam, mu)
         assert [(h.v, h.gamma, h.k, h.value) for h in cert.walls] == expected
         assert cert.regular == (not expected)
@@ -228,6 +270,27 @@ class TestIsRegular:
         if expected:
             # a wall off the integers: its value is exact, not rounded to D
             assert Fraction(-2, 3) in {h.value for h in cert.walls}
+
+    @pytest.mark.parametrize("lam, mu", [c[1:] for c in WALL_CASES], ids=[c[0] for c in WALL_CASES])
+    def test_wall_certificate_matches_eta_brute_force(self, lam, mu):
+        # the whole certificate in order, against every pair and cut compared
+        # by eta_value; kernel_generators refuses with the same certificate
+        expected = walls_by_eta(lam, mu)
+        cert = is_regular(lam, mu)
+        assert [(h.v, h.gamma, h.k, h.value) for h in cert.walls] == expected
+        assert cert.regular == (not expected)
+        if expected:
+            with pytest.raises(NotRegularError) as excinfo:
+                kernel_generators(lam, mu)
+            assert excinfo.value.certificate == cert
+
+    def test_tied_levels_lie_on_their_walls(self):
+        # the level built for cut k shares a tail value with lam at k
+        for n, lam in ORACLE_LAMS.items():
+            lam, perms = W(lam), list(all_permutations(n))
+            for k, mu in enumerate(tied_levels(lam, n), 1):
+                shared = {eta_value(v, k, lam) for v in perms} & {eta_value(g, k, mu) for g in perms}
+                assert shared, (n, k)
 
 
 def descent_coset_key(v, gamma):
