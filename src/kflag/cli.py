@@ -138,7 +138,8 @@ def _cmd_support(args) -> int:
 def _cmd_verify(args) -> int:
     report = gkm.verify_support_theorem(args.n)
     if args.json:
-        _emit_json(report.to_json_obj())
+        # one pair's tree at a time: the whole report's tree would hold every pair
+        _emit_json(map(gkm.PairCheck.to_json_obj, report.checks))
     else:
         for check in report.checks:
             status = "pass" if check.passed else "FAIL"
@@ -182,7 +183,7 @@ def _cmd_kernel(args) -> int:
     if args.check:
         kirwan.kernel_soundness(gens, lam, mu)
     if args.json:
-        _emit_json([gen.json_tree() for gen in gens])
+        _emit_json(map(kirwan.KernelGenerator.json_tree, gens))
     else:
         # the generators share their key tuples, so one memo renders each
         # distinct monomial once; generators of one v share their polys, so

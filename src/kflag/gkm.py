@@ -291,26 +291,6 @@ class SweepReport:
         return f"checked {len(self.checks)} pairs: all pass"
 
 
-def _compare_support_interval(
-    w: tuple[int, ...],
-    gamma: tuple[int, ...],
-    supp: tuple[tuple[int, ...], ...],
-    interval: tuple[tuple[int, ...], ...],
-    universe: Iterable[tuple[int, ...]],
-) -> PairCheck:
-    """The PairCheck of (w, gamma); supp and interval are sorted tuples, and
-    the counterexamples follow the order of universe."""
-    if supp == interval:
-        return PairCheck(w, gamma, True, supp, interval)
-    supp_set, int_set = set(supp), set(interval)
-    ces = tuple(
-        Counterexample(z, z in supp_set, z in int_set)
-        for z in universe
-        if (z in supp_set) != (z in int_set)
-    )
-    return PairCheck(w, gamma, False, supp, interval, ces)
-
-
 def _progress(done: int, total: int) -> None:
     print(f"[verify] {done}/{total} pairs checked", file=sys.stderr, flush=True)
 
@@ -322,11 +302,14 @@ def verify_support_theorem(n: int) -> SweepReport:
     is compared against {v : v <=_gamma w}. The report lists both sets for
     every pair; mismatches carry per-point counterexample certificates.
 
-    The sweep is serial and S_n-equivariant: with u = gamma^{-1}w, the
-    support of G_u and the interval [e, u] are computed once per u and
-    left-multiplied by gamma, by restrict(permute_y(gamma, f), z) =
+    The sweep is serial and S_n-equivariant. With u = gamma^{-1}w, the
+    permuted class of (w, gamma) is permute_y(gamma, G_u), so its support is
+    gamma * supp(G_u), by restrict(permute_y(gamma, f), z) =
     permute_y(gamma, restrict(f, gamma^{-1}z)) and the S_n-invariance of the
-    determinant relation.
+    determinant relation, and its interval is gamma * [e, u]. So supp(G_u)
+    is compared with [e, u] once per u, and each pair's verdict is its base's,
+    left-multiplied by gamma: the relabelled interval, and on a failing pair
+    the relabelled support and counterexamples, in lexicographic order of z.
     """
     if n < 1:
         raise InvalidInputError(f"rank must be positive, got {n}")
@@ -340,25 +323,30 @@ def verify_support_theorem(n: int) -> SweepReport:
     # left[g][i] is the index of points[g] * points[i]
     left = [[index[tuple(g[v - 1] for v in z)] for z in points] for g in points]
     inv = [index[g.inverse().images] for g in perms]
-    base_support = [
-        [index[z.images] for z in support(grothendieck(u))] for u in perms
-    ]
-    base_interval = [
-        [i for i, p in enumerate(perms) if bruhat_leq(p, u)] for u in perms
-    ]
+    # per u: supp(G_u), [e, u] and the points where they differ, as indices
+    bases = []
+    for u in perms:
+        supp = sorted(index[z.images] for z in support(grothendieck(u)))
+        interval = [i for i, p in enumerate(perms) if bruhat_leq(p, u)]
+        nonzero, inside = set(supp), set(interval)
+        rows = [(i, i in nonzero, i in inside) for i in sorted(nonzero ^ inside)]
+        bases.append((supp, interval, rows))
     total = len(points) ** 2
     step = 2000
     checks: list[PairCheck] = []
     for w in range(len(points)):
         for g in range(len(points)):
-            u = left[inv[g]][w]
-            lg = left[g]
+            supp, interval, rows = bases[left[inv[g]][w]]
+            lg = left[g].__getitem__
             # from lists: tuple() of a generator resizes, and the peak RSS rose
-            supp = tuple([points[i] for i in sorted(lg[i] for i in base_support[u])])
-            interval = tuple([points[i] for i in sorted(lg[i] for i in base_interval[u])])
-            checks.append(
-                _compare_support_interval(points[w], points[g], supp, interval, points)
-            )
+            shown = tuple([points[i] for i in sorted(map(lg, interval))])
+            if rows:
+                moved = sorted([(lg(i), nz, inside) for i, nz, inside in rows])
+                ces = tuple([Counterexample(points[i], nz, inside) for i, nz, inside in moved])
+                shown_supp = tuple([points[i] for i in sorted(map(lg, supp))])
+                checks.append(PairCheck(points[w], points[g], False, shown_supp, shown, ces))
+            else:
+                checks.append(PairCheck(points[w], points[g], True, shown, shown))
             if len(checks) % step == 0:
                 _progress(len(checks), total)
     return SweepReport(n, checks)

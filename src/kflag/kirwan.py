@@ -89,22 +89,6 @@ class WeightVector:
         return cls(entries)
 
     @classmethod
-    def from_json(cls, data) -> "WeightVector":
-        """Parse the JSON form: an array of {"num": int, "den": int}."""
-        try:
-            pairs = [(item["num"], item["den"]) for item in data]
-            # integers only: int() would truncate 2.5 to 2 and read true as 1
-            if any(type(e) is not int for pair in pairs for e in pair):
-                raise TypeError("num and den must be integers")
-            entries = tuple(Fraction(num, den) for num, den in pairs)
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise InvalidInputError(f"cannot read weight JSON {data!r}") from exc
-        return cls(entries)
-
-    def to_json_obj(self) -> list[dict]:
-        return [_fraction_json(e) for e in self.entries]
-
-    @classmethod
     def staircase(cls, n: int) -> "WeightVector":
         """The strictly decreasing vector (n-1, n-3, ..., 1-n)."""
         return cls(tuple(Fraction(n - 1 - 2 * i) for i in range(n)))

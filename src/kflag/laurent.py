@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import re
+from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 from operator import add, itemgetter
 from typing import Mapping, Sequence
@@ -394,17 +395,20 @@ def write_json(tree, fh) -> None:
 
     tree holds dicts with string keys, lists, tuples, strings, ints, booleans,
     None and LaurentPoly leaves; a leaf is written from its terms, in
-    sorted_terms() order, without building poly_to_json(f). Within one call
+    sorted_terms() order, without building poly_to_json(f). An iterator,
+    such as a map, is written as the list of its items, one item at a time,
+    so a caller can stream a long list without holding it. Within one call
     the text after a coefficient is rendered once per exponent key and
-    depth, and a list of ints once per value and depth. The text goes to fh
-    in batches.
+    depth, and a list or tuple of ints once per value and depth. The text
+    goes to fh in batches.
 
     >>> import io, json
     >>> f = 3 - LaurentPoly.monomial(2, 10**20, (1, 0), (0, -1))
     >>> out = io.StringIO()
-    >>> write_json({"poly": f, "k": [1, 2], "zero": LaurentPoly.zero(2)}, out)
+    >>> write_json({"poly": f, "k": map(abs, [1, -2]), "none": iter(()),
+    ...             "zero": LaurentPoly.zero(2)}, out)
     >>> out.getvalue() == json.dumps(
-    ...     {"poly": poly_to_json(f), "k": [1, 2], "zero": []}, indent=2)
+    ...     {"poly": poly_to_json(f), "k": [1, 2], "none": [], "zero": []}, indent=2)
     True
     """
     parts: list[str] = []
@@ -450,26 +454,6 @@ def write_json(tree, fh) -> None:
             parts.append(int.__repr__(o))
         elif isinstance(o, LaurentPoly):
             parts.append(poly_text(o, d))
-        elif isinstance(o, (list, tuple)):
-            if not o:
-                parts.append("[]")
-            elif set(map(type, o)) == {int}:
-                parts.append(int_list(tuple(o), d))
-            else:
-                inner = "\n" + "  " * (d + 1)
-                sep = "[" + inner
-                for value in o:
-                    parts.append(sep)
-                    emit(value, d + 1)
-                    sep = "," + inner
-                    # batches: one write per part is one system call per
-                    # part on an unbuffered stream, and large batches raise
-                    # the peak (rank-5 presentation: 90 MB with batches of
-                    # 256 parts, 290 MB with 8,192)
-                    if len(parts) >= 256:
-                        fh.write("".join(parts))
-                        parts.clear()
-                parts.append("\n" + "  " * d + "]")
         elif isinstance(o, dict):
             if not o:
                 parts.append("{}")
@@ -481,6 +465,24 @@ def write_json(tree, fh) -> None:
                 emit(value, d + 1)
                 sep = "," + inner
             parts.append("\n" + "  " * d + "}")
+        elif isinstance(o, (list, tuple)) and o and set(map(type, o)) == {int}:
+            parts.append(int_list(tuple(o), d))
+        elif isinstance(o, (list, tuple, Iterator)):
+            inner = "\n" + "  " * (d + 1)
+            sep = "[" + inner
+            for value in o:
+                parts.append(sep)
+                emit(value, d + 1)
+                sep = "," + inner
+                # batches: one write per part is one system call per
+                # part on an unbuffered stream, and large batches raise
+                # the peak (rank-5 presentation: 90 MB with batches of
+                # 256 parts, 290 MB with 8,192)
+                if len(parts) >= 256:
+                    fh.write("".join(parts))
+                    parts.clear()
+            # sep still opens the list when o had no items
+            parts.append("[]" if sep[0] == "[" else "\n" + "  " * d + "]")
         else:
             raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 

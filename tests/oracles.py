@@ -12,7 +12,8 @@ and the permuted classes they define start from the subset expansion of
 the top class. Monomial substitution and the variable relabellings rebuild
 each key one exponent at a time, without the library's precomputed
 getters. Supports, decompositions and recompositions go point by point
-through ``gkm.restrict``, without the library's packed-key walk.
+through ``gkm.restrict``, without the library's packed-key walk. The
+support sweep decides every pair on its own instead of once per base class.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ import itertools
 import random
 from fractions import Fraction
 
+from kflag import gkm
 from kflag.ddo import pi
 from kflag.errors import InvalidInputError, NotDivisibleError, NotInSpanError
 from kflag.gkm import restrict
-from kflag.groth import permuted_grothendieck
+from kflag.groth import grothendieck, permuted_grothendieck
 from kflag.laurent import LaurentPoly, exact_div, polys_to_json
 from kflag.perm import Permutation, all_permutations
 
@@ -33,6 +35,10 @@ from kflag.perm import Permutation, all_permutations
 
 def t_compose(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(u[j - 1] for j in v)
+
+
+def t_inverse(w: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sorted(range(1, len(w) + 1), key=lambda i: w[i - 1]))
 
 
 def t_identity(n: int) -> tuple[int, ...]:
@@ -361,6 +367,39 @@ def recompose_by_points(coeffs: dict, gamma: Permutation, n: int) -> dict:
         for z in perms:
             entries[z] = entries[z] + c * restrict(gw, z)
     return entries
+
+
+# -- the support sweep pair by pair ------------------------------------------------
+
+
+def sweep_by_pairs(n: int) -> gkm.SweepReport:
+    """The report of ``gkm.verify_support_theorem(n)``, decided pair by pair.
+
+    Each pair (w, gamma) relabels supp(G_u) and [e, u], u = gamma^{-1}w, by
+    gamma, sorts both lists and compares them point by point over S_n in
+    lexicographic order. Supports are read through ``gkm.support`` at call
+    time, so a patch of it reaches this route and the library's alike; the
+    intervals come from the subword criterion.
+    """
+    universe = sorted(itertools.permutations(range(1, n + 1)))
+    supports = {
+        u: {z.images for z in gkm.support(grothendieck(Permutation(u)))} for u in universe
+    }
+    intervals = {u: [v for v in universe if subword_bruhat_leq(v, u)] for u in universe}
+    checks = []
+    for w in universe:
+        for gamma in universe:
+            u = t_compose(t_inverse(gamma), w)
+            supp = tuple(sorted(t_compose(gamma, z) for z in supports[u]))
+            interval = tuple(sorted(t_compose(gamma, v) for v in intervals[u]))
+            nonzero, inside = set(supp), set(interval)
+            ces = tuple(
+                gkm.Counterexample(z, z in nonzero, z in inside)
+                for z in universe
+                if (z in nonzero) != (z in inside)
+            )
+            checks.append(gkm.PairCheck(w, gamma, supp == interval, supp, interval, ces))
+    return gkm.SweepReport(n, checks)
 
 
 # -- restriction-class files ------------------------------------------------------

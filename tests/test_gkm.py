@@ -35,6 +35,7 @@ from oracles import (
     recompose_by_points,
     substitute,
     support_by_substitution,
+    sweep_by_pairs,
 )
 
 
@@ -394,19 +395,54 @@ class TestVerifySweep:
     def test_rank_five_json_bytes_are_pinned(self, capsys):
         assert _verify_json_sha256(capsys, 5) == VERIFY_JSON_SHA256[5]
 
-    def test_counterexample_reporting(self):
-        check = gkm._compare_support_interval(
-            (1, 2), (1, 2), [(1, 2)], [(1, 2), (2, 1)], [(1, 2), (2, 1)]
-        )
-        assert not check.passed
-        assert len(check.counterexamples) == 1
-        ce = check.counterexamples[0]
-        assert ce.z == (2, 1)
-        assert not ce.restriction_nonzero
-        assert ce.in_interval
-        obj = check.to_json_obj()
+    def test_rank_four_json_is_written_pair_by_pair(self, capsys, monkeypatch):
+        # verify --json writes one pair's tree at a time, never the whole report's
+        def whole_tree(report):
+            raise AssertionError("the report's whole JSON tree was built")
+
+        monkeypatch.setattr(gkm.SweepReport, "to_json_obj", whole_tree)
+        assert _verify_json_sha256(capsys, 4) == VERIFY_JSON_SHA256[4]
+
+    def test_injected_failures_match_the_per_pair_route(self, monkeypatch):
+        # drop u from supp(G_u) at u = 2,4,1,3 and add two points outside
+        # [e, u] at u = 1,3,2,4, whose order some gamma reverses; both routes
+        # read supports through gkm.support
+        dropped, added = Permutation((2, 4, 1, 3)), Permutation((1, 3, 2, 4))
+        extra = {Permutation((4, 3, 2, 1)), Permutation((3, 4, 1, 2))}
+        true_support = gkm.support
+
+        def patched(f):
+            supp = true_support(f)
+            if f == grothendieck(dropped):
+                return supp - {dropped}
+            if f == grothendieck(added):
+                return supp | extra
+            return supp
+
+        monkeypatch.setattr(gkm, "support", patched)
+        report = verify_support_theorem(4)
+        oracle = sweep_by_pairs(4)
+        assert report.to_json_obj() == oracle.to_json_obj()
+        assert report.summary() == oracle.summary() == "checked 576 pairs: 48 failures"
+        perms = list(all_permutations(4))
+        assert {(c.w, c.gamma) for c in report.failures()} == {
+            ((gamma * u).images, gamma.images) for u in (dropped, added) for gamma in perms
+        }
+        # the verdicts of the bases, relabelled by gamma = s_1
+        checks = {(c.w, c.gamma): c for c in report.checks}
+        obj = checks[(1, 4, 2, 3), (2, 1, 3, 4)].to_json_obj()
         assert obj["pass"] is False
-        assert obj["counterexamples"][0]["z"] == [2, 1]
+        assert [1, 4, 2, 3] in obj["bruhat_interval"]
+        assert [1, 4, 2, 3] not in obj["support"]
+        assert obj["counterexamples"] == [
+            {"z": [1, 4, 2, 3], "restriction_nonzero": False, "in_interval": True}
+        ]
+        obj = checks[(2, 3, 1, 4), (2, 1, 3, 4)].to_json_obj()
+        assert obj["pass"] is False
+        assert obj["counterexamples"] == [
+            {"z": [3, 4, 2, 1], "restriction_nonzero": True, "in_interval": False},
+            {"z": [4, 3, 1, 2], "restriction_nonzero": True, "in_interval": False},
+        ]
 
 
 class TestDecompose:

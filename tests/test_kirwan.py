@@ -124,29 +124,6 @@ class TestWeightVector:
         assert lam.entries == (3, 1, -1, -3)
         assert lam.is_generic
 
-    def test_json_roundtrip(self):
-        lam = W("1/4,1/8,-3/8")
-        data = lam.to_json_obj()
-        assert data == [
-            {"num": 1, "den": 4},
-            {"num": 1, "den": 8},
-            {"num": -3, "den": 8},
-        ]
-        assert WeightVector.from_json(data) == lam
-        with pytest.raises(InvalidInputError):
-            WeightVector.from_json([{"num": 1}])
-
-    @pytest.mark.parametrize("bad", [2.5, True, "2"], ids=["float", "bool", "string"])
-    def test_json_num_must_be_an_integer(self, bad):
-        # 2.5 must not be truncated to 2, nor true read as 1
-        with pytest.raises(InvalidInputError):
-            WeightVector.from_json([{"num": bad, "den": 1}, {"num": -2, "den": 1}])
-
-    @pytest.mark.parametrize("bad", [1.0, True, "1"], ids=["float", "bool", "string"])
-    def test_json_den_must_be_an_integer(self, bad):
-        with pytest.raises(InvalidInputError):
-            WeightVector.from_json([{"num": 1, "den": bad}, {"num": -1, "den": 1}])
-
 
 class TestMomentImage:
     def test_identity(self):

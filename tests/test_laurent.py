@@ -331,6 +331,15 @@ def poly_trees(draw):
     return tree
 
 
+def as_iterators(tree):
+    """tree with every list replaced by a lazy iterator over its items."""
+    if isinstance(tree, list):
+        return map(as_iterators, tree)
+    if isinstance(tree, dict):
+        return {key: as_iterators(value) for key, value in tree.items()}
+    return tree
+
+
 class TestWriteJson:
     @pytest.mark.parametrize(
         "tree",
@@ -349,6 +358,22 @@ class TestWriteJson:
     )
     def test_matches_json_dumps(self, tree):
         assert written(tree) == dumped(tree)
+        assert written(as_iterators(tree)) == dumped(tree)
+
+    def test_iterator_is_written_as_it_goes(self):
+        out = io.StringIO()
+        written_before = []
+
+        def items():
+            for i in range(1000):
+                written_before.append(out.tell())
+                yield {"i": i, "poly": i * xv(1, 1)}
+
+        write_json(items(), out)
+        expected = [{"i": i, "poly": i * xv(1, 1)} for i in range(1000)]
+        assert out.getvalue() == dumped(expected)
+        # batches went out while later items were still to come
+        assert 0 < written_before[-1] < len(out.getvalue())
 
     def test_top_class_at_several_depths(self):
         f = top(4)
@@ -379,6 +404,7 @@ class TestWriteJson:
     @given(poly_trees())
     def test_random_trees_match_json_dumps(self, tree):
         assert written(tree) == dumped(tree)
+        assert written(as_iterators(tree)) == dumped(tree)
 
 
 class TestRendering:
