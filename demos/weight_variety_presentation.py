@@ -4,7 +4,8 @@ Fixes a strictly decreasing zero-sum spectrum lam and a reduction level mu,
 checks that mu avoids every tail-sum wall, enumerates the kernel
 generators with their half-space witnesses, certifies every generator
 against its support (one support per base class G_{v^-1}, relabelled by
-gamma), and assembles the generators-and-relations presentation.
+gamma, and one check per witness at its worst support point), and
+assembles the generators-and-relations presentation.
 
 Run with:  python3 demos/weight_variety_presentation.py
 """
@@ -41,7 +42,8 @@ for gen in gens:
 
 checks = sum(len(cert.checks) for cert in kernel_soundness(gens, lam, mu))
 print()
-print(f"soundness: {checks} strict inequalities verified over all support points")
+print(f"soundness: {checks} strict inequalities verified, one per witness,"
+      " each at the worst support point")
 
 pres = presentation(lam, mu)
 obj = pres.to_json_obj()

@@ -169,7 +169,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_regular(args) -> int:
     cert = kirwan.is_regular(*_parse_weights(args))
     if args.json:
-        _emit_json(cert.to_json_obj())
+        _emit_json({"regular": cert.regular, "walls": map(kirwan.WallHit.to_json_obj, cert.walls)})
     else:
         print("regular" if cert.regular else "not regular")
         for wall in cert.walls:

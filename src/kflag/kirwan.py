@@ -10,7 +10,8 @@ presentation assembles those generators with the symmetric-difference
 ideal and the determinant relation.
 
 Each generator relabels a base class: its class is permute_y(gamma, G_{v^-1})
-and its support gamma * supp(G_{v^-1}), so soundness needs one support per v.
+and its support gamma * supp(G_{v^-1}), so soundness needs one support per v
+and one largest lam tail per (v, k), checked once per witness.
 G_{v^-1} is symmetric in y_j, y_{j+1} exactly when v(j) > v(j+1), so the
 generators of one v whose gammas differ by those s_j share one polynomial.
 kernel_generators builds one term dict per such coset. It splits each
@@ -159,9 +160,6 @@ class WallHit:
 class RegularityCertificate:
     regular: bool
     walls: tuple[WallHit, ...]
-
-    def to_json_obj(self) -> dict:
-        return {"regular": self.regular, "walls": [w.to_json_obj() for w in self.walls]}
 
 
 def _tail_sums(values: Sequence, perms: Sequence[Permutation]) -> list[tuple]:
@@ -360,6 +358,9 @@ class SoundnessCheck:
 
 @dataclass(frozen=True)
 class SoundnessCertificate:
+    """One check per witness k of the generator, in witness order, at the
+    worst support point: the least z whose lam value at k is the largest."""
+
     generator: KernelGenerator
     checks: tuple[SoundnessCheck, ...]
 
@@ -370,57 +371,53 @@ def kernel_soundness(
     """Certify that each generator's support lies strictly inside its half-spaces.
 
     A poly other than permute_y(gamma, G_{v^-1}) raises SoundnessFailureError,
-    so a certificate covers gen.poly only as the class of (v, gamma). For each
-    z = gamma * p in sorted order and witness k, eta_k^gamma(lam_z), the lam
-    tail sum over p^-1, must fall below eta_k^gamma(mu), the mu tail sum over
-    gamma; a violation raises SoundnessFailureError naming (z, k). The
-    inequalities are decided on the integer tails of _scaled; the checks
-    carry the exact Fraction values.
+    so a certificate covers gen.poly only as the class of (v, gamma). At
+    z = gamma * p, eta_k^gamma(lam_z) is the lam tail sum over p^-1, which
+    does not depend on gamma, so the support lies inside the half-space
+    {eta_k^gamma < eta_k^gamma(mu)} exactly when the largest such tail over
+    p in supp(G_{v^-1}) falls below the mu tail sum over gamma. That maximum
+    is taken once per (v, k). Each witness k gets one check at its worst
+    point, the least z among those attaining the maximum; a violation raises
+    SoundnessFailureError naming that (z, k). The inequalities are decided
+    on the integer tails of _scaled; the checks carry the exact Fractions.
     """
     bases: dict[Permutation, tuple[LaurentPoly, list]] = {}
-    levels: dict[Permutation, tuple] = {}
-    points: dict[tuple[int, ...], Permutation] = {}
     certs = []
-    _, lam_ints, mu_ints = _scaled(lam, mu)
+    d, lam_ints, mu_ints = _scaled(lam, mu)
     for gen in gens:
         v, gamma = gen.v, gen.gamma
         if {lam.n, mu.n, gamma.n} != {v.n} or not all(0 < k < v.n for k in gen.witnesses):
             raise InvalidInputError("generator does not fit the weight data")
-        if not points:
-            points = {p.images: p for p in all_permutations(v.n)}
         if v not in bases:
             base = grothendieck(v.inverse())
             supp = list(support(base))
-            invs = [p.inverse() for p in supp]
-            # (gamma * p)(i) = gamma(p(i)): z is read through p's slots
-            picks = [_picker([i - 1 for i in p.images]) for p in supp]
-            tails = zip(picks, _tail_sums(lam.entries, invs), _tail_sums(lam_ints, invs))
-            bases[v] = base, list(tails)
-        if gamma not in levels:
-            levels[gamma] = (
-                _slot_getter(gamma, v.n),
-                _tail_sums(mu.entries, [gamma])[0],
-                _tail_sums(mu_ints, [gamma])[0],
-            )
-        base, base_points = bases[v]
-        get, level, level_ints = levels[gamma]
+            tails = _tail_sums(lam_ints, [p.inverse() for p in supp])
+            # per cut, the largest tail and the picks of its points:
+            # (gamma * p)(i) = gamma(p(i)), so z is read through p's slots
+            tops = []
+            for k in range(v.n - 1):
+                top = max(t[k] for t in tails)
+                tied = [p for p, t in zip(supp, tails) if t[k] == top]
+                tops.append((top, [_picker([i - 1 for i in p.images]) for p in tied]))
+            bases[v] = base, tops
+        base, tops = bases[v]
         # the relabelling is a bijection on keys, so equal sizes and a match
         # at every relabelled base key mean gen.poly == permute_y(gamma, base)
         terms = gen.poly.terms
-        found = list(map(terms.get, map(get, base.terms)))
+        found = list(map(terms.get, map(_slot_getter(gamma, v.n), base.terms)))
         if len(terms) != len(base.terms) or found != list(base.terms.values()):
             raise SoundnessFailureError(f"poly of v={v} gamma={gamma} is not its class")
-        rows = [(pick(gamma.images), tails, ints) for pick, tails, ints in base_points]
+        level = _tail_sums(mu_ints, [gamma])[0]
         checks = []
-        for z_images, tails, ints in sorted(rows, key=itemgetter(0)):
-            z = points[z_images]
-            for k in gen.witnesses:
-                lhs, rhs = tails[k - 1], level[k - 1]
-                if not ints[k - 1] < level_ints[k - 1]:
-                    raise SoundnessFailureError(
-                        f"support point {z} violates the k={k} inequality: {lhs} >= {rhs}"
-                    )
-                checks.append(SoundnessCheck(z, k, lhs, rhs))
+        for k in gen.witnesses:
+            top, picks = tops[k - 1]
+            z = Permutation(min([pick(gamma.images) for pick in picks]))
+            lhs, rhs = Fraction(top, d), Fraction(level[k - 1], d)
+            if not top < level[k - 1]:
+                raise SoundnessFailureError(
+                    f"support point {z} violates the k={k} inequality: {lhs} >= {rhs}"
+                )
+            checks.append(SoundnessCheck(z, k, lhs, rhs))
         certs.append(SoundnessCertificate(gen, tuple(checks)))
     return tuple(certs)
 

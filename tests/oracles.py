@@ -14,6 +14,9 @@ each key one exponent at a time, without the library's precomputed
 getters. Supports, decompositions and recompositions go point by point
 through ``gkm.restrict``, without the library's packed-key walk. The
 support sweep decides every pair on its own instead of once per base class.
+Kernel soundness reads both sides of every inequality from ``eta_value`` at
+each support point, found by substitution, instead of one integer maximum
+per base class and cut.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from kflag.ddo import pi
 from kflag.errors import InvalidInputError, NotDivisibleError, NotInSpanError
 from kflag.gkm import restrict
 from kflag.groth import grothendieck, permuted_grothendieck
+from kflag.kirwan import eta_value, moment_image
 from kflag.laurent import LaurentPoly, exact_div, polys_to_json
 from kflag.perm import Permutation, all_permutations
 
@@ -400,6 +404,21 @@ def sweep_by_pairs(n: int) -> gkm.SweepReport:
             )
             checks.append(gkm.PairCheck(w, gamma, supp == interval, supp, interval, ces))
     return gkm.SweepReport(n, checks)
+
+
+# -- kernel soundness point by point ---------------------------------------------
+
+
+def soundness_by_points(gen, lam, mu) -> list:
+    """The (z, k, eta_k^gamma(lam_z), eta_k^gamma(mu)) rows of a kernel
+    generator, for each z in its support in lexicographic order and each
+    witness k, both values read from ``eta_value`` at the moment image."""
+    points = sorted(support_by_substitution(gen.poly), key=lambda p: p.images)
+    return [
+        (z, k, eta_value(gen.gamma, k, moment_image(lam, z)), eta_value(gen.gamma, k, mu))
+        for z in points
+        for k in gen.witnesses
+    ]
 
 
 # -- restriction-class files ------------------------------------------------------

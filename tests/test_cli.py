@@ -412,6 +412,17 @@ class TestWeightCommands:
         assert cert["regular"] is False
         assert cert["walls"][0]["value"] == {"num": 0, "den": 1}
 
+    def test_rank_five_regular_json_is_pinned(self, capsys):
+        # 11,520 walls at mu = 0, written one wall at a time
+        code, out, _ = run(
+            capsys, "regular", "--lambda", "4,2,0,-2,-4", "--mu", "0,0,0,0,0", "--json"
+        )
+        assert code == 0
+        assert len(json.loads(out)["walls"]) == 11520
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "d28ee553ad2788a97d01ec74b01add019e6600309ad677c4839597cc417f617a"
+        )
+
     def test_kernel_text(self, capsys):
         code, out, _ = run(capsys, "kernel", "--lambda", "1/2,-1/2", "--mu", "0,0")
         assert code == 0

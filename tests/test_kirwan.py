@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 
+from kflag import kirwan
 from kflag.errors import (
     InvalidInputError,
     NotRegularError,
@@ -25,7 +27,7 @@ from kflag.kirwan import (
 from kflag.laurent import LaurentPoly, elementary_symmetric, poly_to_json
 from kflag.perm import Permutation, all_permutations, permuted_bruhat_leq
 
-from oracles import permute_y_by_terms, pi_word, t_simple
+from oracles import permute_y_by_terms, pi_word, soundness_by_points, t_simple
 
 
 def W(text):
@@ -473,40 +475,79 @@ class TestSoundness:
         )
         with pytest.raises(SoundnessFailureError):
             half_space_soundness(bad, lam, mu)
+        # a support point on the level is outside the open half-space: the
+        # only support point of G_e sits at lam tail -1/2 = mu tail at k=1
+        e = Permutation((1, 2))
+        on_level = KernelGenerator(e, e, (1,), grothendieck(e))
+        message = "point 1,2 violates the k=1 inequality: -1/2 >= -1/2"
+        with pytest.raises(SoundnessFailureError, match=message):
+            half_space_soundness(on_level, lam, lam)
 
     @pytest.mark.parametrize(
         "lam, mu",
         [
+            ("1/2,-1/2", "0,0"),
             ("1,0,-1", "1/4,1/8,-3/8"),
             ("3,1,-1,-3", "31/97,17/97,-11/97,-37/97"),
         ],
-        ids=["rank3", "rank4"],
+        ids=["rank2", "rank3", "rank4"],
     )
     def test_kernel_soundness_matches_per_generator_route(self, lam, mu):
-        # oracle: the support of each generator's own polynomial, with both
-        # sides of every inequality from eta_value at the moment image
+        # oracle: every support point of each generator's own polynomial, with
+        # both sides of every inequality from eta_value at the moment image;
+        # the certificate holds each witness's worst row, the least z on ties
         lam, mu = W(lam), W(mu)
         gens = kernel_generators(lam, mu)
         certs = kernel_soundness(gens, lam, mu)
         assert [cert.generator for cert in certs] == list(gens)
-        checks = 0
+        points = checks = 0
         for gen, cert in zip(gens, certs):
+            rows = soundness_by_points(gen, lam, mu)
+            assert all(lhs < rhs for _, _, lhs, rhs in rows)
+            # max keeps the first of equal rows, and rows run in z order
             expected = [
-                (
-                    z,
-                    k,
-                    eta_value(gen.gamma, k, moment_image(lam, z)),
-                    eta_value(gen.gamma, k, mu),
-                )
-                for z in sorted(support(gen.poly), key=lambda p: p.images)
+                max((row for row in rows if row[1] == k), key=itemgetter(2))
                 for k in gen.witnesses
             ]
             got = [(c.z, c.k, c.fixed_point_value, c.level_value) for c in cert.checks]
             assert got == expected
             assert all(type(value) is Fraction for row in got for value in row[2:])
             assert half_space_soundness(gen, lam, mu) == cert
+            points += len(rows)
             checks += len(got)
-        assert (len(gens), checks) == {3: (24, 72), 4: (432, 4104)}[lam.n]
+        assert (len(gens), checks, points) == {
+            2: (2, 2, 2), 3: (24, 36, 72), 4: (432, 864, 4104)
+        }[lam.n]
+
+    def test_injected_support_point_at_the_level_fails(self, monkeypatch):
+        # a base class gains a point whose lam tail reaches the level of the
+        # first generator of its v at its first witness that such a point can
+        # break: that point is then the unique worst one
+        lam, mu = W("1,0,-1"), W("1/4,1/8,-3/8")
+        gens = kernel_generators(lam, mu)
+
+        def injection():
+            for i, gen in enumerate(gens):
+                if i and gens[i - 1].v == gen.v:
+                    continue
+                for k in gen.witnesses:
+                    level = eta_value(gen.gamma, k, mu)
+                    for p in all_permutations(3):
+                        if eta_value(gen.gamma, k, moment_image(lam, gen.gamma * p)) >= level:
+                            return gen, k, p
+
+        gen, k, p = injection()
+        base = grothendieck(gen.v.inverse())
+        assert p not in support(base)
+        library_support = kirwan.support
+        monkeypatch.setattr(
+            kirwan, "support", lambda f: library_support(f) | ({p} if f == base else set())
+        )
+        message = f"support point {gen.gamma * p} violates the k={k} inequality"
+        with pytest.raises(SoundnessFailureError, match=message):
+            kernel_soundness(gens, lam, mu)
+        with pytest.raises(SoundnessFailureError, match=message):
+            half_space_soundness(gen, lam, mu)
 
     def test_poly_that_is_not_the_class_fails(self):
         # 2 * G has the same support as G, so only the class check can catch it
@@ -558,14 +599,23 @@ class TestSoundness:
 
     @pytest.mark.slow
     def test_rank_five_kernel_is_sound(self):
+        # one check per witness, each at a support point whose eta_value is
+        # the recorded value, strictly below the level
         lam, mu = W(RANK5_LAM), W(RANK5_MU)
         gens = kernel_generators(lam, mu)
         certs = kernel_soundness(gens, lam, mu)
         assert len(certs) == 11520
-        assert sum(len(cert.checks) for cert in certs) == 439680
-        assert all(
-            c.fixed_point_value < c.level_value for cert in certs for c in cert.checks
-        )
+        assert sum(len(cert.checks) for cert in certs) == 28800
+        supports = {}
+        for cert in certs:
+            gen = cert.generator
+            if gen.v not in supports:
+                supports[gen.v] = support(grothendieck(gen.v.inverse()))
+            assert [c.k for c in cert.checks] == list(gen.witnesses)
+            for c in cert.checks:
+                assert gen.gamma.inverse() * c.z in supports[gen.v]
+                assert c.fixed_point_value == eta_value(gen.gamma, c.k, moment_image(lam, c.z))
+                assert c.fixed_point_value < c.level_value == eta_value(gen.gamma, c.k, mu)
 
     def test_support_subset_of_half_space(self):
         # the geometric statement: every support point of an emitted

@@ -23,7 +23,7 @@ from kflag.laurent import (
 )
 from kflag.gkm import restrict_all
 from kflag.groth import top
-from kflag.kirwan import WeightVector, is_regular
+from kflag.kirwan import WallHit, WeightVector, is_regular
 from kflag.perm import Permutation, all_permutations
 
 from oracles import (
@@ -381,10 +381,13 @@ class TestWriteJson:
         assert written(tree) == dumped(tree)
 
     def test_regularity_certificate_with_walls(self):
+        # the tree of kflag regular --json, its walls streamed as a map
         lam, mu = WeightVector.parse("2/3,1/7,-17/21"), WeightVector.parse("2/3,-1/3,-1/3")
-        obj = is_regular(lam, mu).to_json_obj()
-        assert obj["walls"]
-        assert written(obj) == json.dumps(obj, indent=2)
+        cert = is_regular(lam, mu)
+        assert cert.walls
+        obj = {"regular": cert.regular, "walls": [w.to_json_obj() for w in cert.walls]}
+        tree = {"regular": cert.regular, "walls": map(WallHit.to_json_obj, cert.walls)}
+        assert written(tree) == json.dumps(obj, indent=2)
 
     def test_restriction_class(self):
         alpha = restrict_all(top(3))
