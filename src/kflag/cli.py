@@ -20,6 +20,7 @@ from .errors import (
     InternalInvariantError,
     InvalidInputError,
     KflagError,
+    LimitExceededError,
     NotDivisibleError,
     NotRegularError,
     SoundnessFailureError,
@@ -31,6 +32,11 @@ from .laurent import (
     write_json,
 )
 from .perm import Permutation
+
+#: Ceiling for the terms that ddo may write before merging: pi_1 on top(7)
+#: (484,912 terms) writes 788,816 and peaks near 420 MB; 2,000,000 rank-2
+#: terms peak near 940 MB.
+MAX_TERMS = 1_000_000
 
 _CYCLE_HINT = (
     "cycle notation is not accepted; use comma-separated one-line notation. "
@@ -112,6 +118,15 @@ def _cmd_groth(args) -> int:
 
 def _cmd_ddo(args) -> int:
     poly = poly_from_json(_read_json(args.poly, "polynomial file"))
+    if 1 <= args.i < poly.n:
+        # the closed formula of kflag.ddo writes |a - b| terms per input term
+        shift, lo = int(args.op == "pi"), args.i - 1
+        bound = sum(abs(key[lo] + shift - key[lo + 1]) for key in poly.terms)
+        if bound > MAX_TERMS:
+            raise LimitExceededError(
+                f"--op {args.op} --i {args.i} would write up to {bound} terms,"
+                f" over the term bound MAX_TERMS = {MAX_TERMS}"
+            )
     op = {"delta": delta, "pi": pi}[args.op]
     _print_poly(args, op(args.i, poly))
     return 0
@@ -258,16 +273,6 @@ def restriction_class_from_json(data) -> gkm.RestrictionClass:
 
 # -- parser ----------------------------------------------------------------------
 
-def _jobs(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kflag",
@@ -293,10 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("--lambda", {"dest": "lam", "required": True, "help": "e.g. 1,0,-1"}),
         ("--mu", {"dest": "mu", "required": True, "help": "e.g. 1/4,1/8,-3/8"}),
     )
-    jobs = ("--jobs", {
-        "type": _jobs, "default": 1,
-        "help": "accepted for compatibility and ignored; every run is serial (must be >= 1)",
-    })
 
     add("groth", "permuted double Grothendieck polynomial", _cmd_groth, *klass)
     add(
@@ -310,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("--at", {"required": True, "help": "fixed point, one-line notation"}),
     )
     add("support", "support of a class over the fixed points", _cmd_support, *klass)
-    add("verify", "exhaustive support/interval sweep over S_n x S_n", _cmd_verify, rank, jobs)
+    add("verify", "exhaustive support/interval sweep over S_n x S_n", _cmd_verify, rank)
     add(
         "decompose", "decompose a localized class in a permuted basis", _cmd_decompose, rank,
         ("--gamma", {"required": True}),
@@ -319,11 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
     add("regular", "wall-avoidance check for a reduction level", _cmd_regular, *weights)
     add(
         "kernel", "kernel generators for a regular reduction level", _cmd_kernel, *weights,
-        jobs, ("--check", {"action": "store_true", "help": "run soundness certificates"}),
+        ("--check", {"action": "store_true", "help": "run soundness certificates"}),
     )
     add(
         "presentation", "assembled generators-and-relations presentation (JSON)",
-        _cmd_presentation, *weights, jobs,
+        _cmd_presentation, *weights,
         ("--out", {"default": None, "help": "write to a file instead of stdout"}),
     )
 

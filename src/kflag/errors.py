@@ -14,7 +14,7 @@ class InvalidInputError(KflagError, ValueError):
 
 
 class LimitExceededError(InvalidInputError):
-    """An exhaustive operation was asked to run beyond its configured rank bound."""
+    """An operation was asked to run beyond a configured rank or term bound."""
 
 
 class NotDivisibleError(KflagError, ArithmeticError):

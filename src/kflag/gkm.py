@@ -382,13 +382,16 @@ def _pack(f: LaurentPoly, weights: Sequence[int]) -> dict[int, int]:
     return {sum(map(mul, key[n:], weights)): c for key, c in f.terms.items()}
 
 
-def _add_product(acc: dict[int, int], a: dict[int, int], b: dict[int, int]) -> None:
-    """acc += a * b on packed keys, in place; entries of acc may be left at 0."""
-    keys, coeffs, get = list(a), list(a.values()), acc.get
-    for k, c in b.items():
-        if c:
-            for key, prod in zip(map(add, keys, repeat(k)), map(mul, coeffs, repeat(c))):
-                acc[key] = get(key, 0) + prod
+def _add_product(entries: list[dict[int, int]], a: dict[int, int], f: LaurentPoly, b: int) -> None:
+    """entries[z] += a * (f at z) for every z in S_n, in lexicographic order, on
+    packed keys with base b, in place; entries may be left at 0."""
+    keys, coeffs = list(a), list(a.values())
+    for acc, (fkeys, fcoeffs) in zip(entries, _packed_restrictions(f, False, b)):
+        get = acc.get
+        for k, c in _sums(fkeys, fcoeffs).items():
+            if c:
+                for key, prod in zip(map(add, keys, repeat(k)), map(mul, coeffs, repeat(c))):
+                    acc[key] = get(key, 0) + prod
 
 
 def _divide_binomial(p: dict[int, int], d: int, span: int) -> dict[int, int]:
@@ -476,11 +479,7 @@ def decompose(alpha: RestrictionClass, gamma: Permutation) -> dict[Permutation, 
                 f"residue at {w} is not divisible by the diagonal restriction"
             ) from exc
         coeffs[w] = LaurentPoly._raw(n, {decoded[k]: c for k, c in q.items()})
-        minus_q = {k: -c for k, c in q.items()}
-        rows = _packed_restrictions(permuted_grothendieck(w, gamma), False, b)
-        for res, (keys, cs) in zip(residue, rows):
-            if keys:
-                _add_product(res, minus_q, _sums(keys, cs))
+        _add_product(residue, {k: -c for k, c in q.items()}, permuted_grothendieck(w, gamma), b)
     for z, res in zip(perms, residue):
         left = {decoded[k]: c for k, c in res.items() if c}
         if left and not canonical_zero_test(LaurentPoly._raw(n, left)):
@@ -512,11 +511,7 @@ def recompose(
     perms = list(all_permutations(n))
     entries: list[dict[int, int]] = [{} for _ in perms]
     for w, c in items:
-        packed = _pack(c, weights)
-        rows = _packed_restrictions(permuted_grothendieck(w, gamma), False, b)
-        for acc, (keys, cs) in zip(entries, rows):
-            if keys:
-                _add_product(acc, packed, _sums(keys, cs))
+        _add_product(entries, _pack(c, weights), permuted_grothendieck(w, gamma), b)
     decoded = _Decoder(n, b)
     return RestrictionClass._raw(n, {
         z: LaurentPoly._raw(n, {decoded[k]: c for k, c in acc.items() if c})

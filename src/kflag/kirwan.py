@@ -252,9 +252,6 @@ class KernelGenerator:
             "poly": self.poly,
         }
 
-    def to_json_obj(self) -> dict:
-        return polys_to_json(self.json_tree())
-
 
 def _picker(slots: list[int]):
     """The items at slots of a sequence, as a tuple."""

@@ -13,12 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kflag import groth, kirwan
-from kflag.cli import build_parser, main, restriction_class_from_json
+from kflag import cli, ddo, groth, kirwan
+from kflag.cli import MAX_TERMS, build_parser, main, restriction_class_from_json
 from kflag.errors import InvalidInputError, LimitExceededError
 from kflag.gkm import decompose, restrict_all
 from kflag.groth import top
-from kflag.laurent import poly_from_json, poly_to_json, render_poly
+from kflag.laurent import poly_from_json, poly_to_json, polys_to_json, render_poly
 from kflag.perm import Permutation
 
 from oracles import restriction_class_to_json
@@ -189,6 +189,54 @@ class TestDdoPipe:
         assert "malformed polynomial term" in err
 
 
+class TestDdoTermBound:
+    """An operator that would write more than MAX_TERMS terms is refused before
+    it expands anything, with exit 2 and the bound named."""
+
+    @staticmethod
+    def monomial_file(tmp_path, x):
+        poly_file = tmp_path / "poly.json"
+        poly_file.write_text(json.dumps([{"coeff": "1", "x": x, "y": [0, 0]}]))
+        return str(poly_file)
+
+    @pytest.mark.parametrize("op", ["pi", "delta"])
+    def test_oversized_output_exits_2(self, capsys, monkeypatch, tmp_path, op):
+        # pi_1 on x1^(10^9) writes 10^9 + 1 terms, delta_1 10^9
+        monkeypatch.setattr(ddo, "_divided_difference", _never)
+        poly_file = self.monomial_file(tmp_path, [10**9, 0])
+        start = time.perf_counter()
+        code, out, err = run(capsys, "ddo", "--op", op, "--i", "1", "--poly", poly_file)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert f"over the term bound MAX_TERMS = {MAX_TERMS}" in err
+
+    def test_moderate_power_succeeds(self, capsys, tmp_path):
+        # pi_1(x1^1000) = sum over k of x1^k * x2^(1000 - k)
+        poly_file = self.monomial_file(tmp_path, [1000, 0])
+        code, out, _ = run(capsys, "ddo", "--op", "pi", "--i", "1", "--poly", poly_file, "--json")
+        assert code == 0
+        got = poly_from_json(json.loads(out))
+        assert got.terms == {(k, 1000 - k, 0, 0): 1 for k in range(1001)}
+
+    @pytest.mark.parametrize(
+        "x, op, expected",
+        [
+            # |alpha_1 + s - alpha_2| terms: s = 1 for pi, 0 for delta
+            ([1000, 0], "delta", 0),
+            ([1000, 0], "pi", 2),
+            ([1000, 1000], "pi", 0),
+            ([0, 1002], "pi", 2),
+        ],
+    )
+    def test_the_bound_counts_written_terms(self, capsys, monkeypatch, tmp_path, x, op, expected):
+        monkeypatch.setattr(cli, "MAX_TERMS", 1000)
+        poly_file = self.monomial_file(tmp_path, x)
+        code, out, err = run(capsys, "ddo", "--op", op, "--i", "1", "--poly", poly_file)
+        assert code == expected
+        if expected:
+            assert out == "" and "would write up to 1001 terms" in err
+
+
 class TestRestrictAndSupport:
     def test_restrict_zero_point(self, capsys):
         code, out, _ = run(
@@ -235,18 +283,6 @@ class TestVerify:
         assert entry["gamma"] == [1, 2]
         assert entry["pass"] is True
         assert entry["support"] == entry["bruhat_interval"] == [[1, 2]]
-
-    def test_jobs_flag_does_not_change_bytes(self, capsys):
-        _, out1, _ = run(capsys, "verify", "--n", "3", "--json")
-        _, out2, _ = run(capsys, "verify", "--n", "3", "--jobs", "2", "--json")
-        assert out1 == out2
-
-    @pytest.mark.parametrize("jobs", ["-5", "0"])
-    def test_jobs_below_one_exits_2(self, capsys, jobs):
-        code, out, err = run(capsys, "verify", "--n", "2", "--jobs", jobs)
-        assert code == 2
-        assert out == ""
-        assert "--jobs" in err
 
 
 class TestDecompose:
@@ -473,7 +509,7 @@ class TestWeightCommands:
         gens = kirwan.kernel_generators(
             kirwan.WeightVector.parse(lam), kirwan.WeightVector.parse(mu)
         )
-        assert json.loads(out) == [g.to_json_obj() for g in gens]
+        assert json.loads(out) == [polys_to_json(g.json_tree()) for g in gens]
 
     def test_kernel_check_flag(self, capsys):
         code, out, _ = run(
@@ -678,7 +714,6 @@ class TestCliSurface:
         ],
         "verify": [
             ("--json", "json", False, False), ("--n", "n", True, None),
-            ("--jobs", "jobs", False, 1),
         ],
         "decompose": [
             ("--json", "json", False, False), ("--n", "n", True, None),
@@ -690,13 +725,11 @@ class TestCliSurface:
         ],
         "kernel": [
             ("--json", "json", False, False), ("--lambda", "lam", True, None),
-            ("--mu", "mu", True, None), ("--jobs", "jobs", False, 1),
-            ("--check", "check", False, False),
+            ("--mu", "mu", True, None), ("--check", "check", False, False),
         ],
         "presentation": [
             ("--json", "json", False, False), ("--lambda", "lam", True, None),
-            ("--mu", "mu", True, None), ("--jobs", "jobs", False, 1),
-            ("--out", "out", False, None),
+            ("--mu", "mu", True, None), ("--out", "out", False, None),
         ],
     }
 
@@ -713,6 +746,21 @@ class TestCliSurface:
         }
         assert surface == self.SURFACE
         assert sub.choices["ddo"]._option_string_actions["--op"].choices == ("delta", "pi")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--n", "2"],
+            ["kernel", "--lambda", "1/2,-1/2", "--mu", "0,0"],
+            ["presentation", "--lambda", "1/2,-1/2", "--mu", "0,0"],
+        ],
+        ids=["verify", "kernel", "presentation"],
+    )
+    def test_jobs_is_an_unrecognized_argument(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--jobs", "2")
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --jobs 2" in err
 
     def test_kernel_wall_lines_are_the_regular_lines_indented(self, capsys):
         lam, mu = "1,0,-1", "0,0,0"

@@ -24,7 +24,7 @@ from kflag.kirwan import (
     moment_image,
     presentation,
 )
-from kflag.laurent import LaurentPoly, elementary_symmetric, poly_to_json
+from kflag.laurent import LaurentPoly, elementary_symmetric, poly_to_json, polys_to_json
 from kflag.perm import Permutation, all_permutations, permuted_bruhat_leq
 
 from oracles import permute_y_by_terms, pi_word, soundness_by_points, t_simple
@@ -95,6 +95,23 @@ def wall_cases():
 
 
 WALL_CASES = wall_cases()
+
+
+@pytest.fixture(scope="module")
+def generators():
+    """kernel_generators of (lam, mu) strings. The rank-5 staircase result is
+    built once for the module and shared by the tests that take it this way,
+    none of which checks that a repeated call gives the same result."""
+    rank5 = []
+
+    def get(lam, mu):
+        if (lam, mu) != (RANK5_LAM, RANK5_MU):
+            return kernel_generators(W(lam), W(mu))
+        if not rank5:
+            rank5.append(kernel_generators(W(lam), W(mu)))
+        return rank5[0]
+
+    return get
 
 
 class TestWeightVector:
@@ -381,11 +398,12 @@ class TestKernelGenerators:
         ],
         ids=["rank2", "rank3", "rank4", "rank4-mixed", "rank5"],
     )
-    def test_matches_per_pair_route(self, lam, mu):
+    def test_matches_per_pair_route(self, generators, lam, mu):
         # oracle: witnesses from eta_value Fractions, polynomials relabelled
         # one exponent at a time, pair by pair. Generators of one v with
         # equal polys share one, built by the first of them, so the terms
         # come in the base order relabelled by that first gamma
+        gens = generators(lam, mu)
         lam, mu = W(lam), W(mu)
         expected, firsts = [], {}
         for v, g, tails in tail_pairs_by_eta(lam, mu):
@@ -394,7 +412,6 @@ class TestKernelGenerators:
                 terms = permute_y_by_terms(g, grothendieck(v.inverse())).terms
                 first = firsts.setdefault((v, frozenset(terms.items())), list(terms.items()))
                 expected.append((v, g, ks, first))
-        gens = kernel_generators(lam, mu)
         got = [(g.v, g.gamma, g.witnesses, list(g.poly.terms.items())) for g in gens]
         assert got == expected
         assert len(gens) == {2: 2, 3: 24, 4: 432, 5: 11520}[lam.n]
@@ -409,8 +426,8 @@ class TestKernelGenerators:
         ],
         ids=["rank4", "rank5"],
     )
-    def test_generators_share_key_tuples(self, lam, mu):
-        keys = [k for gen in kernel_generators(W(lam), W(mu)) for k in gen.poly.terms]
+    def test_generators_share_key_tuples(self, generators, lam, mu):
+        keys = [k for gen in generators(lam, mu) for k in gen.poly.terms]
         assert len({id(k) for k in keys}) == len(set(keys)) < len(keys)
         if W(lam).n == 5:
             assert (len(set(keys)), len(keys)) == (9366, 1085892)
@@ -424,10 +441,10 @@ class TestKernelGenerators:
         ],
         ids=["rank3", "rank4", "rank5"],
     )
-    def test_generators_share_one_poly_per_coset(self, lam, mu):
+    def test_generators_share_one_poly_per_coset(self, generators, lam, mu):
         # one object per (v, coset of gamma), and distinct cosets hold
         # unequal polys, so no two objects could have been one
-        gens = kernel_generators(W(lam), W(mu))
+        gens = generators(lam, mu)
         by_coset = {}
         for gen in gens:
             by_coset.setdefault((gen.v, descent_coset_key(gen.v, gen.gamma)), []).append(gen)
@@ -598,11 +615,11 @@ class TestSoundness:
             kernel_soundness((bad,), lam, mu)
 
     @pytest.mark.slow
-    def test_rank_five_kernel_is_sound(self):
+    def test_rank_five_kernel_is_sound(self, generators):
         # one check per witness, each at a support point whose eta_value is
         # the recorded value, strictly below the level
+        gens = generators(RANK5_LAM, RANK5_MU)
         lam, mu = W(RANK5_LAM), W(RANK5_MU)
-        gens = kernel_generators(lam, mu)
         certs = kernel_soundness(gens, lam, mu)
         assert len(certs) == 11520
         assert sum(len(cert.checks) for cert in certs) == 28800
@@ -675,7 +692,7 @@ class TestPresentation:
                 for g in pres.kernel
             ],
         }
-        assert pres.kernel[0].to_json_obj() == pres.to_json_obj()["kernel"][0]
+        assert polys_to_json(pres.kernel[0].json_tree()) == pres.to_json_obj()["kernel"][0]
 
     def test_rank_one_degenerate(self):
         pres = presentation(W("0"), W("0"))
