@@ -13,7 +13,8 @@ Each generator relabels a base class: its class is permute_y(gamma, G_{v^-1})
 and its support gamma * supp(G_{v^-1}), so soundness needs one support per v
 and one largest lam tail per (v, k), checked once per witness.
 G_{v^-1} is symmetric in y_j, y_{j+1} exactly when v(j) > v(j+1), so the
-generators of one v whose gammas differ by those s_j share one polynomial.
+generators of one v whose gammas differ by those s_j share one polynomial,
+and soundness checks that polynomial against its class once per coset.
 kernel_generators builds one term dict per such coset. It splits each
 distinct key of the base classes into its x part and its y part, relabels
 each distinct y part once per gamma and builds each relabelled key once, so
@@ -262,6 +263,18 @@ def _picker(slots: list[int]):
     return itemgetter(*slots)
 
 
+def _runs(v: Permutation) -> tuple[tuple[int, int], ...]:
+    # the runs of positions that v's descents join: G_{v^-1} is symmetric in
+    # y_j, y_{j+1} iff v(j) > v(j+1), so gamma and gamma * s_j give one class
+    ends = [e for e in range(1, v.n) if v.images[e - 1] < v.images[e]]
+    return tuple(zip([0, *ends], [*ends, v.n]))
+
+
+def _coset(runs: tuple[tuple[int, int], ...], images: tuple[int, ...]) -> tuple[int, ...]:
+    # a coset's key: gamma's images sorted within each run
+    return tuple(c for a, b in runs for c in sorted(images[a:b]))
+
+
 def kernel_generators(lam: WeightVector, mu: WeightVector) -> tuple[KernelGenerator, ...]:
     """All (v, gamma) with sum_{i>k} lam_{v(i)} < sum_{i>k} mu_{gamma(i)} for some k.
 
@@ -316,9 +329,7 @@ def kernel_generators(lam: WeightVector, mu: WeightVector) -> tuple[KernelGenera
         for c in set(codes).difference(pool):
             pool[c] = x_parts[c % m] + by_id[c // m]
         tables[j] = list(map(pool.__getitem__, codes))
-    # G_{v^-1} is symmetric in y_j, y_{j+1} iff v(j) > v(j+1), so gamma and
-    # gamma * s_j give one class. A coset's key is gamma's images sorted
-    # within each run of positions that v's descents join, memoised per runs
+    # the generators of one coset share one class; coset keys are memoised per runs
     cosets: dict[tuple, dict[int, tuple[int, ...]]] = {}
     gens = []
     current = None
@@ -327,14 +338,12 @@ def kernel_generators(lam: WeightVector, mu: WeightVector) -> tuple[KernelGenera
             current, v, base = i, perms[i], bases[i]
             pick = _picker(list(map(index.__getitem__, base.terms)))
             coeffs = list(base.terms.values())
-            ends = [e for e in range(1, n) if v.images[e - 1] < v.images[e]]
-            runs = tuple(zip([0, *ends], [*ends, n]))
+            runs = _runs(v)
             coset_of = cosets.setdefault(runs, {})
             shared: dict[tuple[int, ...], LaurentPoly] = {}
         coset = coset_of.get(j)
         if coset is None:
-            images = perms[j].images
-            coset = coset_of[j] = tuple(c for a, b in runs for c in sorted(images[a:b]))
+            coset = coset_of[j] = _coset(runs, perms[j].images)
         poly = shared.get(coset)
         if poly is None:
             poly = shared[coset] = LaurentPoly._raw(n, dict(zip(pick(tables[j]), coeffs)))
@@ -377,8 +386,12 @@ def kernel_soundness(
     point, the least z among those attaining the maximum; a violation raises
     SoundnessFailureError naming that (z, k). The inequalities are decided
     on the integer tails of _scaled; the checks carry the exact Fractions.
+
+    The class check runs once per v and coset of gamma, as kernel_generators
+    groups them: a generator whose poly is the very object that passed for
+    its v and coset shares that class and is not checked again.
     """
-    bases: dict[Permutation, tuple[LaurentPoly, list]] = {}
+    bases: dict[Permutation, tuple[LaurentPoly, list, tuple, dict]] = {}
     certs = []
     d, lam_ints, mu_ints = _scaled(lam, mu)
     for gen in gens:
@@ -396,14 +409,17 @@ def kernel_soundness(
                 top = max(t[k] for t in tails)
                 tied = [p for p, t in zip(supp, tails) if t[k] == top]
                 tops.append((top, [_picker([i - 1 for i in p.images]) for p in tied]))
-            bases[v] = base, tops
-        base, tops = bases[v]
-        # the relabelling is a bijection on keys, so equal sizes and a match
-        # at every relabelled base key mean gen.poly == permute_y(gamma, base)
-        terms = gen.poly.terms
-        found = list(map(terms.get, map(_slot_getter(gamma, v.n), base.terms)))
-        if len(terms) != len(base.terms) or found != list(base.terms.values()):
-            raise SoundnessFailureError(f"poly of v={v} gamma={gamma} is not its class")
+            bases[v] = base, tops, _runs(v), {}
+        base, tops, runs, checked = bases[v]
+        coset = _coset(runs, gamma.images)
+        if not (coset in checked and checked[coset] is gen.poly):
+            # the relabelling is a bijection on keys, so equal sizes and a match
+            # at every relabelled base key mean gen.poly == permute_y(gamma, base)
+            terms = gen.poly.terms
+            found = list(map(terms.get, map(_slot_getter(gamma, v.n), base.terms)))
+            if len(terms) != len(base.terms) or found != list(base.terms.values()):
+                raise SoundnessFailureError(f"poly of v={v} gamma={gamma} is not its class")
+            checked[coset] = gen.poly
         level = _tail_sums(mu_ints, [gamma])[0]
         checks = []
         for k in gen.witnesses:

@@ -6,10 +6,12 @@ operator-word routes, its closed-form divided differences, so the tests
 compare two genuinely different routes.
 The divided differences here go through the library's exact polynomial
 division (kept there for ``gkm.decompose``), which shares no code with
-``kflag.ddo``. The operator-word routes apply ``kflag.ddo.pi`` along this
-module's own bubble-sort reduced word, not the library's lex-least one,
-and the permuted classes they define start from the subset expansion of
-the top class. Monomial substitution and the variable relabellings rebuild
+``kflag.ddo``; ``divided_difference_by_terms`` is the closed formula with
+every summand built as its own tuple, the route ``kflag.ddo`` took before
+it kept fixed summands at their terms' keys. The operator-word routes
+apply ``kflag.ddo.pi`` along this module's own bubble-sort reduced word,
+not the library's lex-least one, and the permuted classes they define
+start from the subset expansion of the top class. Monomial substitution and the variable relabellings rebuild
 each key one exponent at a time, without the library's precomputed
 getters. Supports, decompositions and recompositions go point by point
 through ``gkm.restrict``, without the library's packed-key walk. The
@@ -254,6 +256,36 @@ def delta_by_division(i: int, f: LaurentPoly) -> LaurentPoly:
 def pi_by_division(i: int, f: LaurentPoly) -> LaurentPoly:
     """delta_by_division(i, x_i * f)."""
     return delta_by_division(i, LaurentPoly.x(f.n, i) * f)
+
+
+def divided_difference_by_terms(i: int, f: LaurentPoly, shift: int) -> LaurentPoly:
+    """delta_i(x_i^shift * f) by the closed formula, building every summand.
+
+    The route ``kflag.ddo`` took before it kept the fixed summand of pi_i
+    (k = a - 1) at the term's own key: each summand of each term, the fixed
+    one included, is built as a fresh tuple and added on its own.
+    """
+    if not 1 <= i <= f.n - 1:
+        raise InvalidInputError(f"operator index {i} out of range for rank {f.n}")
+    lo = i - 1
+    out: dict[tuple[int, ...], int] = {}
+    get = out.get
+    for key, c in f.terms.items():
+        a = key[lo] + shift
+        b = key[i]
+        if a == b:
+            continue
+        if a < b:
+            a, b, c = b, a, -c
+        head, tail, total = key[:lo], key[i + 1:], a + b - 1
+        for k in range(b, a):
+            nk = head + (k, total - k) + tail
+            s = get(nk, 0) + c
+            if s:
+                out[nk] = s
+            else:
+                del out[nk]
+    return LaurentPoly._raw(f.n, out)
 
 
 def top_by_subsets(n: int) -> LaurentPoly:

@@ -12,6 +12,7 @@ from oracles import (
     all_reduced_words,
     apply_pi_word,
     delta_by_division,
+    divided_difference_by_terms,
     eval_poly,
     pi_by_division,
     pi_word,
@@ -144,17 +145,22 @@ class TestOperatorLaws:
 
 
 class TestClosedFormAgainstDivision:
-    """The closed-form operators equal the old route through exact division,
-    term dict for term dict."""
+    """The closed-form operators equal the old routes through exact division
+    and through building every summand, term dict for term dict."""
 
     @staticmethod
     def assert_same(i, f, check_delta=True):
-        assert pi(i, f).terms == pi_by_division(i, f).terms
+        out = pi(i, f).terms
+        assert out == pi_by_division(i, f).terms
+        assert out == divided_difference_by_terms(i, f, 1).terms
         if check_delta:
-            assert delta(i, f).terms == delta_by_division(i, f).terms
+            out = delta(i, f).terms
+            assert out == delta_by_division(i, f).terms
+            assert out == divided_difference_by_terms(i, f, 0).terms
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_every_class_every_index(self, n):
+        # every cached step G_w = pi_a(G_{w s_a}) of the table is among these
         for w in all_permutations(n):
             f = groth.grothendieck(w)
             for i in range(1, n):
@@ -167,6 +173,21 @@ class TestClosedFormAgainstDivision:
             for i in range(1, n):
                 self.assert_same(i, f)
 
+    def test_cancelled_fixed_summands(self):
+        # under pi_1, x1^2 keeps itself; x1^3 x2^-1 reaches x1^2 with -1 and
+        # cancels it, and x1^4 x2^-2 reaches it again with +1
+        n, y = 3, (0, 1, -1)
+        keep = LaurentPoly.monomial(n, 1, (2, 0, 0), y)
+        cancel = LaurentPoly.monomial(n, -1, (3, -1, 0), y)
+        revive = LaurentPoly.monomial(n, 1, (4, -2, 0), y)
+        assert pi(1, keep + cancel) == -LaurentPoly.monomial(
+            n, 1, (-1, 3, 0), y
+        ) - LaurentPoly.monomial(n, 1, (3, -1, 0), y)
+        for f in (keep + cancel, keep + cancel + revive, revive + cancel + keep):
+            for g in (f, permute_x(Permutation.longest(n), f)):
+                for i in (1, 2):
+                    self.assert_same(i, g)
+
     @pytest.mark.slow
     def test_rank_six_slice(self):
         # every 120th class of S_6, the top class among them; pi only, since
@@ -175,6 +196,38 @@ class TestClosedFormAgainstDivision:
             f = groth.grothendieck(w)
             for i in range(1, 6):
                 self.assert_same(i, f, check_delta=False)
+
+
+class TestFixedSummand:
+    """pi_i keeps each term with alpha_i >= alpha_{i+1} at its own key tuple."""
+
+    def test_rank_five_children_share_fixed_keys(self):
+        # every key k of the parent with k[a-1] >= k[a] that survives in the
+        # child is stored as the parent's own tuple, unless other summands
+        # cancel it to zero and later ones bring it back, which needs at
+        # least two summands from other terms
+        fixed = shared = 0
+        for w in all_permutations(5):
+            images = w.images
+            a = next((i for i in range(1, 5) if images[i - 1] > images[i]), None)
+            if a is None:
+                continue
+            # the cached step G_w = pi_a(G_{w s_a})
+            parent = groth.grothendieck(w * Permutation.simple(5, a))
+            child = groth.grothendieck(w)
+            stored = {ck: ck for ck in child.terms}
+            reach: dict[tuple[int, ...], int] = {}
+            for key in parent.terms:
+                single = LaurentPoly._raw(5, {key: 1})
+                for nk in divided_difference_by_terms(a, single, 1).terms:
+                    reach[nk] = reach.get(nk, 0) + 1
+            for k in parent.terms:
+                if k[a - 1] >= k[a] and k in stored:
+                    fixed += 1
+                    shared += stored[k] is k
+                    if reach[k] <= 2:
+                        assert stored[k] is k
+        assert (fixed, shared) == (5145, 5128)
 
 
 class TestPiWord:

@@ -361,10 +361,10 @@ class TestVerifySweep:
         pairs = [(c.w, c.gamma) for c in report.checks]
         assert pairs == sorted(pairs)
 
-    def test_parallel_matches_serial(self):
-        serial = verify_support_theorem(3)
-        parallel = verify_support_theorem(3)
-        assert serial.to_json_obj() == parallel.to_json_obj()
+    def test_repeated_call_gives_same_report(self):
+        first = verify_support_theorem(3)
+        repeated = verify_support_theorem(3)
+        assert first.to_json_obj() == repeated.to_json_obj()
 
     def test_bound(self):
         with pytest.raises(LimitExceededError):

@@ -458,11 +458,11 @@ class TestKernelGenerators:
             counts = (len(polys), sum(len(p.terms) for p in polys.values()))
             assert counts == (3195, 455751)
 
-    def test_jobs_do_not_change_output(self):
+    def test_repeated_call_gives_same_output(self):
         lam, mu = W("1,0,-1"), W("1/4,1/8,-3/8")
-        serial = kernel_generators(lam, mu)
-        parallel = kernel_generators(lam, mu)
-        assert serial == parallel
+        first = kernel_generators(lam, mu)
+        repeated = kernel_generators(lam, mu)
+        assert first == repeated
 
 
 class TestSoundness:
@@ -499,6 +499,24 @@ class TestSoundness:
         message = "point 1,2 violates the k=1 inequality: -1/2 >= -1/2"
         with pytest.raises(SoundnessFailureError, match=message):
             half_space_soundness(on_level, lam, lam)
+
+    @pytest.mark.parametrize("same_v", [True, False], ids=["same_v", "other_v"])
+    def test_checked_poly_in_another_coset_fails(self, same_v):
+        # the class check passes once per (v, coset); the checked object handed
+        # to a generator of another coset is checked again, and fails there
+        lam, mu = W("3,1,-1,-3"), W("31/97,17/97,-11/97,-37/97")
+        gens = kernel_generators(lam, mu)
+        first = gens[0]
+        other = next(
+            gen for gen in gens
+            if (gen.v == first.v) == same_v
+            and descent_coset_key(gen.v, gen.gamma) != descent_coset_key(first.v, first.gamma)
+            and gen.poly != first.poly
+        )
+        assert kernel_soundness((first, other), lam, mu)
+        bad = KernelGenerator(other.v, other.gamma, other.witnesses, first.poly)
+        with pytest.raises(SoundnessFailureError, match="is not its class"):
+            kernel_soundness((first, bad), lam, mu)
 
     @pytest.mark.parametrize(
         "lam, mu",
