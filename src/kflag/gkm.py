@@ -23,13 +23,25 @@ x-exponent left to substitute, stops: every point below it gets its terms.
 decompose and recompose keep their residues and sums in packed keys too and
 decode only what they return. ``restrict(f, z)`` substitutes at one point
 and is the oracle.
+
+The sweep and kernel soundness read the support of a plain class G_u
+through _class_support, which walks one point per coset of its
+y-symmetries. Value j is tied to j - 1 when u^-1(j-1) > u^-1(j); G_u is
+then symmetric in y_{j-1}, y_j, so z and z with the values j - 1 and j
+swapped lie in the support together. The walk places a tied value only
+after the value below it, decides each node where it stops by one zero
+test, and expands each point found by permuting the values inside each
+block of tied values. Before walking it checks G_u against each tied swap
+(one dict comparison per tie) and raises InternalInvariantError on a
+mismatch, so the sweep's evidence does not rest on the symmetry. support(f)
+takes any polynomial and tests every point; it is the oracle of this route.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from itertools import count, repeat
+from itertools import count, permutations, repeat
 from math import factorial
 from operator import add, itemgetter, mul
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -42,7 +54,7 @@ from .errors import (
     NotInSpanError,
 )
 from .groth import grothendieck, permuted_grothendieck
-from .laurent import LaurentPoly, canonical_zero_test
+from .laurent import LaurentPoly, _slot_getter, canonical_zero_test
 from .perm import Permutation, all_permutations, bruhat_leq
 
 #: Ceiling for the exhaustive support sweep.
@@ -101,14 +113,19 @@ def _sums(keys: Sequence[int], coeffs: Sequence[int]) -> dict[int, int]:
 
 
 def _packed_restrictions(
-    f: LaurentPoly, det: bool, base: int | None = None
-) -> Iterator[tuple[list[int], list[int]]]:
+    f: LaurentPoly, det: bool, base: int | None = None, tied: frozenset[int] | None = None
+) -> Iterator[tuple]:
     """(keys, coeffs) for every z in S_n, in lexicographic order of z.
 
     The restriction of f at z (with det, modulo the determinant relation) is
     the sum of coeffs[t] * y^e over t, where keys[t] packs e. Equal keys may
     repeat. The lists are shared between points and must not be changed.
     base, if given, is a power of two at least _packing_base(f).
+
+    With tied, a set of values, the walk places a tied value j only after
+    j - 1, and yields (prefix, free, keys, coeffs) once per node where it
+    stops instead: prefix holds the values placed so far, free the rest, and
+    every point below the node has these terms.
     """
     n = f.n
     b = _packing_base(f) if base is None else base
@@ -124,8 +141,9 @@ def _packed_restrictions(
         if wt and any(col):
             packed = list(map(add, packed, map(mul, col, repeat(wt))))
     xcols = [list(map(itemgetter(i), terms)) for i in range(n)]
+    skip = tied or frozenset()
 
-    def walk(keys, coeffs, xcols, free):
+    def walk(keys, coeffs, xcols, free, prefix):
         if len(free) > 1:
             # terms with equal keys agree at every point below: merge them
             acc = _sums(keys, coeffs)
@@ -138,23 +156,28 @@ def _packed_restrictions(
                 keys = live
         if not keys or not any(map(any, xcols)):
             # nothing left to substitute: every point below gets these terms
-            yield from repeat((keys, coeffs), factorial(len(free)))
+            if tied is None:
+                yield from repeat((keys, coeffs), factorial(len(free)))
+            else:
+                yield prefix, free, keys, coeffs
             return
         col, rest = xcols[0], xcols[1:]
         moves, xw = any(col), xweights[n - len(free)]
         for j in free:
+            if j in skip and j - 1 in free:
+                continue
             # x_i -> y_j moves the x_i exponent from its x digit to y digit j
             child = keys
             if moves:
                 child = list(map(add, keys, map(mul, col, repeat(yweights[j - 1] - xw))))
-            yield from walk(child, coeffs, rest, [v for v in free if v != j])
+            yield from walk(child, coeffs, rest, [v for v in free if v != j], prefix + (j,))
 
-    return walk(packed, list(f.terms.values()), xcols, list(range(1, n + 1)))
+    return walk(packed, list(f.terms.values()), xcols, list(range(1, n + 1)), ())
 
 
 def _nonzero_at(keys: Sequence[int], coeffs: Sequence[int]) -> bool:
     """Whether the packed restriction at one fixed point has a nonzero coefficient;
-    support makes one call per point."""
+    support makes one call per point, _class_support one per stopped node."""
     return any(_sums(keys, coeffs).values())
 
 
@@ -228,6 +251,45 @@ def support(f: LaurentPoly) -> SupportSet:
     """Fixed points where the restriction of f is nonzero modulo the determinant relation."""
     walk = zip(all_permutations(f.n), _packed_restrictions(f, True))
     return frozenset(z for z, (keys, coeffs) in walk if _nonzero_at(keys, coeffs))
+
+
+def _ties(u: Permutation) -> frozenset[int]:
+    """The values j tied to j - 1 for G_u: those with u^-1(j-1) > u^-1(j),
+    where G_u is symmetric in y_{j-1}, y_j."""
+    inv = u.inverse().images
+    return frozenset(j for j in range(2, u.n + 1) if inv[j - 2] > inv[j - 1])
+
+
+def _class_support(u: Permutation) -> SupportSet:
+    """supp(G_u), walking one point per coset of the y-symmetries of G_u
+    (module docstring), as Permutations of all_permutations(n). Raises
+    InternalInvariantError if a tied swap does not fix G_u."""
+    f, n = grothendieck(u), u.n
+    tied = _ties(u)
+    for j in sorted(tied):
+        swap = _slot_getter(Permutation.simple(n, j - 1), n)
+        if dict(zip(map(swap, f.terms), f.terms.values())) != f.terms:
+            raise InternalInvariantError(f"G_{u} is not symmetric in y_{j - 1}, y_{j}")
+    # one map of values (indexed by value) per way of permuting the values
+    # inside each block of tied values
+    group = [list(range(n + 1))]
+    start = 1
+    for j in range(2, n + 2):
+        if j not in tied:
+            # the values start, ..., j - 1 form a block
+            orders = list(permutations(range(start, j)))
+            group = [g[:start] + list(p) + g[j:] for g in group for p in orders]
+            start = j
+    points = []
+    for prefix, free, keys, coeffs in _packed_restrictions(f, True, tied=tied):
+        if _nonzero_at(keys, coeffs):
+            # the images of the node under the group: each distinct placed
+            # prefix, then every order of the values left
+            moved = {tuple(map(g.__getitem__, prefix)): g for g in group}
+            for placed, g in moved.items():
+                points += [placed + rest for rest in permutations(map(g.__getitem__, free))]
+    perm_of = {p.images: p for p in all_permutations(n)}
+    return frozenset(map(perm_of.__getitem__, points))
 
 
 # -- exhaustive support sweep ---------------------------------------------------
@@ -326,7 +388,7 @@ def verify_support_theorem(n: int) -> SweepReport:
     # per u: supp(G_u), [e, u] and the points where they differ, as indices
     bases = []
     for u in perms:
-        supp = sorted(index[z.images] for z in support(grothendieck(u)))
+        supp = sorted(index[z.images] for z in _class_support(u))
         interval = [i for i, p in enumerate(perms) if bruhat_leq(p, u)]
         nonzero, inside = set(supp), set(interval)
         rows = [(i, i in nonzero, i in inside) for i in sorted(nonzero ^ inside)]

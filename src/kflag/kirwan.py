@@ -10,8 +10,9 @@ presentation assembles those generators with the symmetric-difference
 ideal and the determinant relation.
 
 Each generator relabels a base class: its class is permute_y(gamma, G_{v^-1})
-and its support gamma * supp(G_{v^-1}), so soundness needs one support per v
-and one largest lam tail per (v, k), checked once per witness.
+and its support gamma * supp(G_{v^-1}), so soundness needs one support per v,
+walked over the cosets of v's descent runs (gkm._class_support), and one
+largest lam tail per (v, k), checked once per witness.
 G_{v^-1} is symmetric in y_j, y_{j+1} exactly when v(j) > v(j+1), so the
 generators of one v whose gammas differ by those s_j share one polynomial,
 and soundness checks that polynomial against its class once per coset.
@@ -39,7 +40,7 @@ from .errors import (
     NotRegularError,
     SoundnessFailureError,
 )
-from .gkm import support
+from .gkm import _class_support
 from .groth import grothendieck
 from .laurent import (
     LaurentPoly,
@@ -392,6 +393,9 @@ def kernel_soundness(
     its v and coset shares that class and is not checked again.
     """
     bases: dict[Permutation, tuple[LaurentPoly, list, tuple, dict]] = {}
+    # per gamma, the mu tails and their Fractions
+    levels: dict[Permutation, tuple[tuple, list[Fraction]]] = {}
+    perm_of: dict[tuple[int, ...], Permutation] = {}
     certs = []
     d, lam_ints, mu_ints = _scaled(lam, mu)
     for gen in gens:
@@ -399,16 +403,23 @@ def kernel_soundness(
         if {lam.n, mu.n, gamma.n} != {v.n} or not all(0 < k < v.n for k in gen.witnesses):
             raise InvalidInputError("generator does not fit the weight data")
         if v not in bases:
-            base = grothendieck(v.inverse())
-            supp = list(support(base))
-            tails = _tail_sums(lam_ints, [p.inverse() for p in supp])
-            # per cut, the largest tail and the picks of its points:
-            # (gamma * p)(i) = gamma(p(i)), so z is read through p's slots
+            if not perm_of:
+                perm_of = {p.images: p for p in all_permutations(v.n)}
+            u = v.inverse()
+            base, supp = grothendieck(u), list(_class_support(u))
+            # p^-1 lists p's positions in the order of their values
+            tails = _tail_sums(lam_ints, [
+                perm_of[tuple(map(itemgetter(1), sorted(zip(p.images, count(1)))))]
+                for p in supp
+            ])
+            # per cut, the largest tail, its Fraction and the picks of its
+            # points: (gamma * p)(i) = gamma(p(i)), so z is read through p's slots
             tops = []
             for k in range(v.n - 1):
                 top = max(t[k] for t in tails)
-                tied = [p for p, t in zip(supp, tails) if t[k] == top]
-                tops.append((top, [_picker([i - 1 for i in p.images]) for p in tied]))
+                worst = [p for p, t in zip(supp, tails) if t[k] == top]
+                picks = [_picker([i - 1 for i in p.images]) for p in worst]
+                tops.append((top, Fraction(top, d), picks))
             bases[v] = base, tops, _runs(v), {}
         base, tops, runs, checked = bases[v]
         coset = _coset(runs, gamma.images)
@@ -420,17 +431,19 @@ def kernel_soundness(
             if len(terms) != len(base.terms) or found != list(base.terms.values()):
                 raise SoundnessFailureError(f"poly of v={v} gamma={gamma} is not its class")
             checked[coset] = gen.poly
-        level = _tail_sums(mu_ints, [gamma])[0]
+        if gamma not in levels:
+            level = _tail_sums(mu_ints, [gamma])[0]
+            levels[gamma] = level, [Fraction(t, d) for t in level]
+        level, rhs = levels[gamma]
         checks = []
         for k in gen.witnesses:
-            top, picks = tops[k - 1]
-            z = Permutation(min([pick(gamma.images) for pick in picks]))
-            lhs, rhs = Fraction(top, d), Fraction(level[k - 1], d)
+            top, lhs, picks = tops[k - 1]
+            z = perm_of[min([pick(gamma.images) for pick in picks])]
             if not top < level[k - 1]:
                 raise SoundnessFailureError(
-                    f"support point {z} violates the k={k} inequality: {lhs} >= {rhs}"
+                    f"support point {z} violates the k={k} inequality: {lhs} >= {rhs[k - 1]}"
                 )
-            checks.append(SoundnessCheck(z, k, lhs, rhs))
+            checks.append(SoundnessCheck(z, k, lhs, rhs[k - 1]))
         certs.append(SoundnessCertificate(gen, tuple(checks)))
     return tuple(certs)
 

@@ -414,8 +414,9 @@ def sweep_by_pairs(n: int) -> gkm.SweepReport:
     Each pair (w, gamma) relabels supp(G_u) and [e, u], u = gamma^{-1}w, by
     gamma, sorts both lists and compares them point by point over S_n in
     lexicographic order. Supports are read through ``gkm.support`` at call
-    time, so a patch of it reaches this route and the library's alike; the
-    intervals come from the subword criterion.
+    time, so a test can patch it with the same change it makes to
+    ``gkm._class_support``, which the library reads; the intervals come from
+    the subword criterion.
     """
     universe = sorted(itertools.permutations(range(1, n + 1)))
     supports = {

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from kflag import gkm
 from kflag.cli import main as cli_main
 from kflag.errors import (
+    InternalInvariantError,
     InvalidInputError,
     LimitExceededError,
     NotInSpanError,
@@ -405,21 +407,28 @@ class TestVerifySweep:
 
     def test_injected_failures_match_the_per_pair_route(self, monkeypatch):
         # drop u from supp(G_u) at u = 2,4,1,3 and add two points outside
-        # [e, u] at u = 1,3,2,4, whose order some gamma reverses; both routes
-        # read supports through gkm.support
+        # [e, u] at u = 1,3,2,4, whose order some gamma reverses; the library
+        # reads supports through gkm._class_support and the oracle through
+        # gkm.support, and both are patched with the same injection
         dropped, added = Permutation((2, 4, 1, 3)), Permutation((1, 3, 2, 4))
         extra = {Permutation((4, 3, 2, 1)), Permutation((3, 4, 1, 2))}
-        true_support = gkm.support
+        true_support, true_class_support = gkm.support, gkm._class_support
 
-        def patched(f):
-            supp = true_support(f)
-            if f == grothendieck(dropped):
+        def inject(u, supp):
+            if u == dropped:
                 return supp - {dropped}
-            if f == grothendieck(added):
+            if u == added:
                 return supp | extra
             return supp
 
+        def patched(f):
+            for u in (dropped, added):
+                if f == grothendieck(u):
+                    return inject(u, true_support(f))
+            return true_support(f)
+
         monkeypatch.setattr(gkm, "support", patched)
+        monkeypatch.setattr(gkm, "_class_support", lambda u: inject(u, true_class_support(u)))
         report = verify_support_theorem(4)
         oracle = sweep_by_pairs(4)
         assert report.to_json_obj() == oracle.to_json_obj()
@@ -754,3 +763,100 @@ class TestWalkEarlyStop:
         assert len(rows) == 24
         assert all(rows[i] is rows[6 * (i // 6)] for i in range(24))
         assert_walk_matches_points(f)
+
+
+def representatives(u):
+    """The points z of S_n where each value tied for G_u comes after the value below it."""
+    tied = gkm._ties(u)
+    return [
+        z for z in all_permutations(u.n)
+        if all(z.images.index(j - 1) < z.images.index(j) for j in tied)
+    ]
+
+
+class TestClassSupport:
+    """supp(G_u) over y-symmetry cosets against the walk over every point."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_class(self, n):
+        for u in all_permutations(n):
+            assert gkm._class_support(u) == support(grothendieck(u)), u
+
+    def test_rank_six_sample(self):
+        rng = random.Random(18)
+        perms = list(all_permutations(6))
+        for u in rng.sample(perms, 8) + [perms[0], perms[-1]]:
+            assert gkm._class_support(u) == support(grothendieck(u)), u
+
+    def test_returns_the_library_permutations(self):
+        perms = set(map(id, all_permutations(4)))
+        for u in all_permutations(4):
+            assert all(id(z) in perms for z in gkm._class_support(u))
+
+    def test_ties_are_the_descents_of_the_inverse(self):
+        assert gkm._ties(Permutation((1, 2, 3))) == frozenset()
+        assert gkm._ties(Permutation((3, 2, 1))) == frozenset({2, 3})
+        # u^-1 = 3,1,2: only 2 comes before 1 in u
+        assert gkm._ties(Permutation((2, 3, 1))) == frozenset({2})
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_ties_at_ascents_fail(self, monkeypatch, n):
+        # the mutation: tie j to j - 1 where u^-1(j-1) < u^-1(j)
+        def ascents(u):
+            inv = u.inverse().images
+            return frozenset(j for j in range(2, u.n + 1) if inv[j - 2] < inv[j - 1])
+
+        monkeypatch.setattr(gkm, "_ties", ascents)
+        failed = 0
+        for u in all_permutations(n):
+            truth = support(grothendieck(u))
+            try:
+                got = gkm._class_support(u)
+            except InternalInvariantError:
+                got = None
+            if ascents(u):
+                assert got != truth, u
+                failed += 1
+            else:
+                assert got == truth, u
+        assert failed == len(list(all_permutations(n))) - 1
+
+    @pytest.mark.parametrize(
+        "u, extra, message",
+        [
+            ((2, 1, 3), LaurentPoly.y(3, 1), "y_1, y_2"),
+            # symmetric in y_1, y_2 and not in y_2, y_3: the second tie fails
+            ((3, 2, 1), LaurentPoly.y(3, 3), "y_2, y_3"),
+        ],
+    )
+    def test_a_polynomial_without_the_symmetry_raises(self, monkeypatch, u, extra, message):
+        u = Permutation(u)
+        monkeypatch.setattr(gkm, "grothendieck", lambda w: grothendieck(w) + extra)
+        with pytest.raises(InternalInvariantError, match=message):
+            gkm._class_support(u)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_one_test_per_stopped_node(self, monkeypatch, n):
+        calls = []
+        real = gkm._nonzero_at
+        monkeypatch.setattr(
+            gkm, "_nonzero_at", lambda keys, coeffs: calls.append(1) or real(keys, coeffs)
+        )
+        for u in all_permutations(n):
+            f, tied = grothendieck(u), gkm._ties(u)
+            nodes = list(gkm._packed_restrictions(f, True, tied=tied))
+            reps = representatives(u)
+            # each node places a tied value only after the value below it, and
+            # the representatives are the rule-abiding points below the nodes
+            below = set()
+            for prefix, free, _, _ in nodes:
+                assert all(j - 1 in prefix[: prefix.index(j)] for j in prefix if j in tied)
+                below |= {prefix + rest for rest in itertools.permutations(free)}
+            assert {z.images for z in reps} <= below
+            calls.clear()
+            gkm._class_support(u)
+            assert len(calls) == len(nodes) <= len(reps)
+        # G_{w0} = 1 has no x-exponent and ties every value: one node, the root
+        calls.clear()
+        assert gkm._class_support(Permutation.longest(n)) == frozenset(all_permutations(n))
+        assert len(calls) == 1

@@ -4,7 +4,7 @@ from operator import itemgetter
 
 import pytest
 
-from kflag import kirwan
+from kflag import gkm, kirwan
 from kflag.errors import (
     InvalidInputError,
     NotRegularError,
@@ -322,6 +322,14 @@ class TestBaseClassSymmetry:
             for j in range(1, n):
                 assert symmetric_in_adjacent_y(f, j) == (v(j) > v(j + 1)), (v, j)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_support_ties_are_the_descent_runs(self, n):
+        # kernel_soundness walks supp(G_{v^-1}) over cosets of the values
+        # that gkm ties: value j is tied to j - 1 exactly inside a run of v
+        for v in all_permutations(n):
+            runs = {j for a, b in kirwan._runs(v) for j in range(a + 2, b + 1)}
+            assert gkm._ties(v.inverse()) == runs, v
+
     def test_coset_key(self):
         v = Permutation((3, 1, 2, 5, 4))  # descents at 1 and 4
         gamma = Permutation((4, 2, 5, 3, 1))
@@ -574,9 +582,11 @@ class TestSoundness:
         gen, k, p = injection()
         base = grothendieck(gen.v.inverse())
         assert p not in support(base)
-        library_support = kirwan.support
+        library_support = kirwan._class_support
         monkeypatch.setattr(
-            kirwan, "support", lambda f: library_support(f) | ({p} if f == base else set())
+            kirwan,
+            "_class_support",
+            lambda u: library_support(u) | ({p} if u == gen.v.inverse() else set()),
         )
         message = f"support point {gen.gamma * p} violates the k={k} inequality"
         with pytest.raises(SoundnessFailureError, match=message):
