@@ -26,17 +26,13 @@ from .errors import (
     SoundnessFailureError,
 )
 from .laurent import (
+    MAX_TERMS,
     LaurentPoly,
     poly_from_json,
     render_poly,
     write_json,
 )
 from .perm import Permutation
-
-#: Ceiling for the terms that ddo may write before merging: pi_1 on top(7)
-#: (484,912 terms) writes 788,816 and peaks near 420 MB; 2,000,000 rank-2
-#: terms peak near 940 MB.
-MAX_TERMS = 1_000_000
 
 _CYCLE_HINT = (
     "cycle notation is not accepted; use comma-separated one-line notation. "

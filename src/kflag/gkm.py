@@ -26,13 +26,13 @@ and is the oracle.
 
 The sweep and kernel soundness read the support of a plain class G_u
 through _class_support, which walks one point per coset of its
-y-symmetries. Value j is tied to j - 1 when u^-1(j-1) > u^-1(j); G_u is
-then symmetric in y_{j-1}, y_j, so z and z with the values j - 1 and j
-swapped lie in the support together. The walk places a tied value only
-after the value below it, decides each node where it stops by one zero
-test, and expands each point found by permuting the values inside each
-block of tied values. Before walking it checks G_u against each tied swap
-(one dict comparison per tie) and raises InternalInvariantError on a
+y-symmetries. G_u is symmetric in the y-variables of each run [a, b) of
+groth._y_runs(u), so z and z with two of the values a + 1, ..., b swapped
+lie in the support together. The walk places each of a + 2, ..., b (the
+tied values) only after the value below it, decides each node where it
+stops by one zero test, and expands each point found by every order of
+the values of each run. Before walking it checks G_u against each tied
+swap (one dict comparison per tie) and raises InternalInvariantError on a
 mismatch, so the sweep's evidence does not rest on the symmetry. support(f)
 takes any polynomial and tests every point; it is the oracle of this route.
 """
@@ -53,8 +53,8 @@ from .errors import (
     NotDivisibleError,
     NotInSpanError,
 )
-from .groth import grothendieck, permuted_grothendieck
-from .laurent import LaurentPoly, _slot_getter, canonical_zero_test
+from .groth import _y_runs, grothendieck, permuted_grothendieck
+from .laurent import MAX_TERMS, LaurentPoly, _slot_getter, canonical_zero_test
 from .perm import Permutation, all_permutations, bruhat_leq
 
 #: Ceiling for the exhaustive support sweep.
@@ -101,7 +101,7 @@ def _max_exponent(polys: Iterable[LaurentPoly]) -> int:
 
 def _packing_base(f: LaurentPoly) -> int:
     """The packing base B: the least power of two above 8 * (max |exponent| of f)."""
-    return 1 << (8 * _max_exponent([f])).bit_length()
+    return _solve_base(_max_exponent([f]), f.n, 0)[1]
 
 
 def _sums(keys: Sequence[int], coeffs: Sequence[int]) -> dict[int, int]:
@@ -253,33 +253,23 @@ def support(f: LaurentPoly) -> SupportSet:
     return frozenset(z for z, (keys, coeffs) in walk if _nonzero_at(keys, coeffs))
 
 
-def _ties(u: Permutation) -> frozenset[int]:
-    """The values j tied to j - 1 for G_u: those with u^-1(j-1) > u^-1(j),
-    where G_u is symmetric in y_{j-1}, y_j."""
-    inv = u.inverse().images
-    return frozenset(j for j in range(2, u.n + 1) if inv[j - 2] > inv[j - 1])
-
-
 def _class_support(u: Permutation) -> SupportSet:
     """supp(G_u), walking one point per coset of the y-symmetries of G_u
     (module docstring), as Permutations of all_permutations(n). Raises
     InternalInvariantError if a tied swap does not fix G_u."""
     f, n = grothendieck(u), u.n
-    tied = _ties(u)
+    runs = _y_runs(u)
+    tied = frozenset(j for a, b in runs for j in range(a + 2, b + 1))
     for j in sorted(tied):
         swap = _slot_getter(Permutation.simple(n, j - 1), n)
         if dict(zip(map(swap, f.terms), f.terms.values())) != f.terms:
             raise InternalInvariantError(f"G_{u} is not symmetric in y_{j - 1}, y_{j}")
     # one map of values (indexed by value) per way of permuting the values
-    # inside each block of tied values
+    # a + 1, ..., b of each run
     group = [list(range(n + 1))]
-    start = 1
-    for j in range(2, n + 2):
-        if j not in tied:
-            # the values start, ..., j - 1 form a block
-            orders = list(permutations(range(start, j)))
-            group = [g[:start] + list(p) + g[j:] for g in group for p in orders]
-            start = j
+    for a, b in runs:
+        orders = list(permutations(range(a + 1, b + 1)))
+        group = [g[: a + 1] + list(p) + g[b + 1 :] for g in group for p in orders]
     points = []
     for prefix, free, keys, coeffs in _packed_restrictions(f, True, tied=tied):
         if _nonzero_at(keys, coeffs):
@@ -464,6 +454,8 @@ def _divide_binomial(p: dict[int, int], d: int, span: int) -> dict[int, int]:
     d, which must end with no carry. Two keys of a line whose exponents
     differ by more than span along e sit on different lines of exponent
     space that the packing folds together, so no carry may cross that gap.
+    A carry fills the gap between two keys; one that would take the
+    quotient past MAX_TERMS terms raises LimitExceededError before it runs.
     """
     step = abs(d)
     lines: dict[int, list[int]] = {}
@@ -474,8 +466,13 @@ def _divide_binomial(p: dict[int, int], d: int, span: int) -> dict[int, int]:
         carry, prev = 0, keys[0]
         for k in keys:
             if carry:
-                if (k - prev) // d > span:
+                gap = (k - prev) // d
+                if gap > span:
                     raise NotDivisibleError("no exact quotient exists")
+                if len(q) + gap - 1 > MAX_TERMS:
+                    raise LimitExceededError(
+                        f"a quotient would exceed the term bound MAX_TERMS = {MAX_TERMS}"
+                    )
                 for g in range(prev + d, k, d):
                     q[g] = carry
             carry += p[k]

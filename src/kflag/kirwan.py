@@ -11,9 +11,9 @@ ideal and the determinant relation.
 
 Each generator relabels a base class: its class is permute_y(gamma, G_{v^-1})
 and its support gamma * supp(G_{v^-1}), so soundness needs one support per v,
-walked over the cosets of v's descent runs (gkm._class_support), and one
-largest lam tail per (v, k), checked once per witness.
-G_{v^-1} is symmetric in y_j, y_{j+1} exactly when v(j) > v(j+1), so the
+walked over the cosets of its y-symmetries (gkm._class_support), and one
+largest lam tail per (v, k), checked once per witness. groth._y_runs(v^-1)
+joins the positions j, j + 1 with v(j) > v(j+1) into runs, so the
 generators of one v whose gammas differ by those s_j share one polynomial,
 and soundness checks that polynomial against its class once per coset.
 kernel_generators builds one term dict per such coset. It splits each
@@ -41,7 +41,7 @@ from .errors import (
     SoundnessFailureError,
 )
 from .gkm import _class_support
-from .groth import grothendieck
+from .groth import _y_runs, grothendieck
 from .laurent import (
     LaurentPoly,
     _slot_getter,
@@ -264,13 +264,6 @@ def _picker(slots: list[int]):
     return itemgetter(*slots)
 
 
-def _runs(v: Permutation) -> tuple[tuple[int, int], ...]:
-    # the runs of positions that v's descents join: G_{v^-1} is symmetric in
-    # y_j, y_{j+1} iff v(j) > v(j+1), so gamma and gamma * s_j give one class
-    ends = [e for e in range(1, v.n) if v.images[e - 1] < v.images[e]]
-    return tuple(zip([0, *ends], [*ends, v.n]))
-
-
 def _coset(runs: tuple[tuple[int, int], ...], images: tuple[int, ...]) -> tuple[int, ...]:
     # a coset's key: gamma's images sorted within each run
     return tuple(c for a, b in runs for c in sorted(images[a:b]))
@@ -339,7 +332,7 @@ def kernel_generators(lam: WeightVector, mu: WeightVector) -> tuple[KernelGenera
             current, v, base = i, perms[i], bases[i]
             pick = _picker(list(map(index.__getitem__, base.terms)))
             coeffs = list(base.terms.values())
-            runs = _runs(v)
+            runs = _y_runs(v.inverse())
             coset_of = cosets.setdefault(runs, {})
             shared: dict[tuple[int, ...], LaurentPoly] = {}
         coset = coset_of.get(j)
@@ -420,7 +413,7 @@ def kernel_soundness(
                 worst = [p for p, t in zip(supp, tails) if t[k] == top]
                 picks = [_picker([i - 1 for i in p.images]) for p in worst]
                 tops.append((top, Fraction(top, d), picks))
-            bases[v] = base, tops, _runs(v), {}
+            bases[v] = base, tops, _y_runs(u), {}
         base, tops, runs, checked = bases[v]
         coset = _coset(runs, gamma.images)
         if not (coset in checked and checked[coset] is gen.poly):

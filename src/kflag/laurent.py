@@ -20,6 +20,11 @@ from typing import Mapping, Sequence
 from .errors import InvalidInputError, NotDivisibleError
 from .perm import Permutation
 
+#: Ceiling for the terms an operation may write: pi_1 on top(7) (484,912
+#: terms) writes 788,816 and peaks near 420 MB; 2,000,000 rank-2 terms peak
+#: near 940 MB. The CLI's ddo and gkm's binomial quotients check it.
+MAX_TERMS = 1_000_000
+
 
 class LaurentPoly:
     """Immutable sparse Laurent polynomial with integer coefficients.

@@ -13,12 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kflag import cli, ddo, groth, kirwan
+from kflag import cli, ddo, gkm, groth, kirwan
 from kflag.cli import MAX_TERMS, build_parser, main, restriction_class_from_json
 from kflag.errors import InvalidInputError, LimitExceededError
-from kflag.gkm import decompose, restrict_all
+from kflag.gkm import decompose, recompose, restrict_all
 from kflag.groth import top
-from kflag.laurent import poly_from_json, poly_to_json, polys_to_json, render_poly
+from kflag.laurent import LaurentPoly, poly_from_json, poly_to_json, polys_to_json, render_poly
 from kflag.perm import Permutation
 
 from oracles import restriction_class_to_json
@@ -424,6 +424,56 @@ class TestDecompose:
         data = json.loads(json.dumps(restriction_class_to_json(alpha)))
         again = restriction_class_from_json(data)
         assert again.entries == alpha.entries
+
+
+class TestDecomposeTermBound:
+    """A binomial quotient in decompose that would hold more than MAX_TERMS
+    terms is refused before its carry fill runs, with exit 2 and the bound named."""
+
+    @staticmethod
+    def class_file(tmp_path, power):
+        # 1 - (y2/y1)^N at 1,2 and 0 at 2,1: the coefficient at 1,2 is the
+        # quotient by the diagonal 1 - y2/y1, the N terms (y2/y1)^k for k < N
+        poly = [
+            {"coeff": "1", "x": [0, 0], "y": [0, 0]},
+            {"coeff": "-1", "x": [0, 0], "y": [-power, power]},
+        ]
+        data = {"n": 2, "entries": [{"z": [1, 2], "poly": poly}, {"z": [2, 1], "poly": []}]}
+        class_file = tmp_path / "class.json"
+        class_file.write_text(json.dumps(data))
+        return data, str(class_file)
+
+    def test_oversized_quotient_exits_2(self, capsys, tmp_path):
+        _, class_file = self.class_file(tmp_path, 10**8)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "decompose", "--n", "2", "--gamma", "1,2", "--class", class_file)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == f"error: a quotient would exceed the term bound MAX_TERMS = {MAX_TERMS}\n"
+
+    def test_moderate_power_round_trips(self, capsys, tmp_path):
+        data, class_file = self.class_file(tmp_path, 1000)
+        code, out, _ = run(
+            capsys, "decompose", "--n", "2", "--gamma", "1,2", "--class", class_file, "--json"
+        )
+        assert code == 0
+        one, zero = json.loads(out)
+        assert (one["w"], zero) == ([1, 2], {"w": [2, 1], "coeff": []})
+        quotient = poly_from_json(one["coeff"])
+        assert quotient.terms == {(0, 0, -k, k): 1 for k in range(1000)}
+        coeffs = {Permutation((1, 2)): quotient, Permutation((2, 1)): LaurentPoly.zero(2)}
+        alpha = restriction_class_from_json(data)
+        assert recompose(coeffs, Permutation((1, 2)), 2).entries == alpha.entries
+
+    @pytest.mark.parametrize("bound, expected", [(1000, 0), (999, 2)])
+    def test_the_bound_counts_quotient_terms(self, capsys, monkeypatch, tmp_path, bound, expected):
+        # the quotient holds exactly 1000 terms
+        monkeypatch.setattr(gkm, "MAX_TERMS", bound)
+        _, class_file = self.class_file(tmp_path, 1000)
+        code, out, err = run(capsys, "decompose", "--n", "2", "--gamma", "1,2", "--class", class_file)
+        assert code == expected
+        if expected:
+            assert out == "" and f"term bound MAX_TERMS = {bound}" in err
 
 
 class TestWeightCommands:

@@ -1,5 +1,6 @@
 """Doctest runner plus cross-module property sweeps that fit nowhere else."""
 
+import ast
 import doctest
 import os
 import random
@@ -47,6 +48,74 @@ def test_demo_runs(script):
         [sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+
+
+def _reads(nodes):
+    """The names that nodes read: Name loads, attribute names and from-imports."""
+    for node in nodes:
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def _private_names(stmt):
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def leftovers(sources):
+    """Unused module-level imports, and private module-level names that nothing
+    reads outside their own definition, over {module name: source text}."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    reads = {name: set(_reads(ast.walk(tree))) for name, tree in trees.items()}
+    found = []
+    for name, tree in trees.items():
+        elsewhere = set().union(*(r for other, r in reads.items() if other != name))
+        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                if getattr(stmt, "module", None) == "__future__":
+                    continue
+                for alias in stmt.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in loaded:
+                        found.append(f"{name}: unused import {bound}")
+            for private in _private_names(stmt):
+                inside = set(map(id, ast.walk(stmt))) if hasattr(stmt, "name") else set()
+                here = _reads(n for n in ast.walk(tree) if id(n) not in inside)
+                if private not in elsewhere and private not in set(here):
+                    found.append(f"{name}: private name {private} is never read")
+    return found
+
+
+def test_no_unused_imports_or_private_names():
+    modules = sorted(p for p in (ROOT / "src" / "kflag").glob("*.py") if p.name != "__init__.py")
+    assert leftovers({p.stem: p.read_text() for p in modules}) == []
+
+
+def test_leftover_check_finds_its_targets():
+    sources = {
+        "a": "from operator import add, mul\n"
+        "def _dead():\n    return _dead() * mul(2, 3)\n"
+        "def _used():\n    return 1\n"
+        "_TABLE = {}\n_SHARED = 1\n"
+        "X = _used()\n",
+        "b": "from a import _SHARED\nY = _SHARED\n",
+    }
+    assert leftovers(sources) == [
+        "a: unused import add",
+        "a: private name _dead is never read",
+        "a: private name _TABLE is never read",
+    ]
 
 
 def _random_zero_sum(rng, n, generic):
