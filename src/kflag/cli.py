@@ -3,14 +3,17 @@
 Exit codes: 0 success; 2 invalid input (parse or precondition failures);
 3 the reduction level is not regular; 4 internal invariant violation
 (including soundness failures); 5 the exhaustive verification found a
-counterexample. All stdout output is deterministic byte-for-byte for a
-given invocation; progress chatter goes to stderr only.
+counterexample; 141 (128 + SIGPIPE) the reader closed stdout early, as in
+``kflag ... | head``, and nothing is printed about it. All stdout output is
+deterministic byte-for-byte for a given invocation; progress chatter goes
+to stderr only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -351,7 +354,14 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # point stdout at os.devnull so the interpreter's last flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

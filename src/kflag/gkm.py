@@ -19,10 +19,10 @@ C-level pass per step. The walk fixes z(1), z(2), ... depth first in
 increasing order (lexicographic order of z, shared prefixes), and merges
 equal keys before each branching, so terms that cancel early (the top
 class once z(1) != 1) leave the walk. A node with no terms left, or no
-x-exponent left to substitute, stops: every point below it gets its terms.
-decompose and recompose keep their residues and sums in packed keys too and
-decode only what they return. ``restrict(f, z)`` substitutes at one point
-and is the oracle.
+x-exponent left to substitute, stops; the walk yields it once, and every
+point below it has its terms. restrict_all, decompose and recompose sum each
+node once for its points, in packed keys, and decode only what they return;
+support(f) tests each point. ``restrict(f, z)`` at one point is the oracle.
 
 The sweep and kernel soundness read the support of a plain class G_u
 through _class_support, which walks one point per coset of its
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from itertools import count, permutations, repeat
 from math import factorial
 from operator import add, itemgetter, mul
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     InternalInvariantError,
@@ -113,19 +113,18 @@ def _sums(keys: Sequence[int], coeffs: Sequence[int]) -> dict[int, int]:
 
 
 def _packed_restrictions(
-    f: LaurentPoly, det: bool, base: int | None = None, tied: frozenset[int] | None = None
+    f: LaurentPoly, det: bool, base: int | None = None, tied: frozenset[int] = frozenset()
 ) -> Iterator[tuple]:
-    """(keys, coeffs) for every z in S_n, in lexicographic order of z.
+    """(prefix, free, keys, coeffs) once per node where the walk stops, in
+    lexicographic order of the points below; _spread expands them to points.
 
-    The restriction of f at z (with det, modulo the determinant relation) is
-    the sum of coeffs[t] * y^e over t, where keys[t] packs e. Equal keys may
-    repeat. The lists are shared between points and must not be changed.
-    base, if given, is a power of two at least _packing_base(f).
-
-    With tied, a set of values, the walk places a tied value j only after
-    j - 1, and yields (prefix, free, keys, coeffs) once per node where it
-    stops instead: prefix holds the values placed so far, free the rest, and
-    every point below the node has these terms.
+    At every point below the node, prefix (the values placed so far) then an
+    order of free (the rest, increasing), the restriction of f (with det,
+    modulo the determinant relation) is the sum of coeffs[t] * y^e over t,
+    where keys[t] packs e. Equal keys may repeat; the lists are shared and
+    must not be changed. base, if given, is a power of two at least
+    _packing_base(f). With tied, a set of values, the walk places a tied
+    value j only after j - 1.
     """
     n = f.n
     b = _packing_base(f) if base is None else base
@@ -141,7 +140,6 @@ def _packed_restrictions(
         if wt and any(col):
             packed = list(map(add, packed, map(mul, col, repeat(wt))))
     xcols = [list(map(itemgetter(i), terms)) for i in range(n)]
-    skip = tied or frozenset()
 
     def walk(keys, coeffs, xcols, free, prefix):
         if len(free) > 1:
@@ -156,15 +154,12 @@ def _packed_restrictions(
                 keys = live
         if not keys or not any(map(any, xcols)):
             # nothing left to substitute: every point below gets these terms
-            if tied is None:
-                yield from repeat((keys, coeffs), factorial(len(free)))
-            else:
-                yield prefix, free, keys, coeffs
+            yield prefix, free, keys, coeffs
             return
         col, rest = xcols[0], xcols[1:]
         moves, xw = any(col), xweights[n - len(free)]
         for j in free:
-            if j in skip and j - 1 in free:
+            if j in tied and j - 1 in free:
                 continue
             # x_i -> y_j moves the x_i exponent from its x digit to y digit j
             child = keys
@@ -179,6 +174,12 @@ def _nonzero_at(keys: Sequence[int], coeffs: Sequence[int]) -> bool:
     """Whether the packed restriction at one fixed point has a nonzero coefficient;
     support makes one call per point, _class_support one per stopped node."""
     return any(_sums(keys, coeffs).values())
+
+
+def _spread(nodes: Iterator[tuple], value: Callable) -> Iterator:
+    """value(keys, coeffs) of each node, once per point below it, in lexicographic order of z."""
+    for _, free, keys, coeffs in nodes:
+        yield from repeat(value(keys, coeffs), factorial(len(free)))
 
 
 class _Decoder(dict):
@@ -200,22 +201,15 @@ class _Decoder(dict):
         key = self[k] = tuple(digits)
         return key
 
-
-def _restrictions(f: LaurentPoly) -> Iterator[LaurentPoly]:
-    """restrict(f, z) for every z in S_n, in lexicographic order.
-
-    Each distinct packed key is decoded into its exponent tuple once per call.
-    """
-    n = f.n
-    decoded = _Decoder(n, _packing_base(f))
-    for keys, coeffs in _packed_restrictions(f, False):
-        out = {decoded[k]: c for k, c in _sums(keys, coeffs).items() if c}
-        yield LaurentPoly._raw(n, out)
+    def poly(self, packed: Mapping[int, int]) -> LaurentPoly:
+        """The y-only LaurentPoly with these packed terms, zero coefficients left out."""
+        return LaurentPoly._raw(self.n, {self[k]: c for k, c in packed.items() if c})
 
 
 @dataclass
 class RestrictionClass:
-    """A class in the localization model: one y-only polynomial per fixed point."""
+    """A class in the localization model: one y-only polynomial per fixed point.
+    Points may share one entry object (see restrict_all); do not mutate entries."""
 
     n: int
     entries: dict[Permutation, LaurentPoly]
@@ -243,14 +237,20 @@ class RestrictionClass:
 
 
 def restrict_all(f: LaurentPoly) -> RestrictionClass:
-    """Restrict at every fixed point of S_n."""
-    return RestrictionClass._raw(f.n, dict(zip(all_permutations(f.n), _restrictions(f))))
+    """Restrict at every fixed point of S_n. Each stopped node is summed and decoded
+    once; its points share one LaurentPoly object, which must not be mutated."""
+    decoded = _Decoder(f.n, _packing_base(f))
+    nodes = _packed_restrictions(f, False, decoded.b)
+    polys = _spread(nodes, lambda keys, coeffs: decoded.poly(_sums(keys, coeffs)))
+    return RestrictionClass._raw(f.n, dict(zip(all_permutations(f.n), polys)))
 
 
 def support(f: LaurentPoly) -> SupportSet:
     """Fixed points where the restriction of f is nonzero modulo the determinant relation."""
-    walk = zip(all_permutations(f.n), _packed_restrictions(f, True))
-    return frozenset(z for z, (keys, coeffs) in walk if _nonzero_at(keys, coeffs))
+    # one test per point, not per node, until the benchmark counts node tests:
+    # bench/test_bench.py pins 6 _nonzero_at calls for G_213 (5 nodes)
+    rows = _spread(_packed_restrictions(f, True), lambda k, c: (k, c))
+    return frozenset(z for z, (k, c) in zip(all_permutations(f.n), rows) if _nonzero_at(k, c))
 
 
 def _class_support(u: Permutation) -> SupportSet:
@@ -435,15 +435,18 @@ def _pack(f: LaurentPoly, weights: Sequence[int]) -> dict[int, int]:
 
 
 def _add_product(entries: list[dict[int, int]], a: dict[int, int], f: LaurentPoly, b: int) -> None:
-    """entries[z] += a * (f at z) for every z in S_n, in lexicographic order, on
-    packed keys with base b, in place; entries may be left at 0."""
-    keys, coeffs = list(a), list(a.values())
-    for acc, (fkeys, fcoeffs) in zip(entries, _packed_restrictions(f, False, b)):
+    """entries[z] += a * (f at z) for every z in S_n, in lexicographic order, on packed
+    keys with base b, in place, once per stopped node; entries may be left at 0."""
+    pairs = list(a.items())
+
+    def products(fkeys, fcoeffs):
+        sums = _sums(fkeys, fcoeffs).items()
+        return [(key + k, ca * c) for k, c in sums if c for key, ca in pairs]
+
+    for acc, prods in zip(entries, _spread(_packed_restrictions(f, False, b), products)):
         get = acc.get
-        for k, c in _sums(fkeys, fcoeffs).items():
-            if c:
-                for key, prod in zip(map(add, keys, repeat(k)), map(mul, coeffs, repeat(c))):
-                    acc[key] = get(key, 0) + prod
+        for key, prod in prods:
+            acc[key] = get(key, 0) + prod
 
 
 def _divide_binomial(p: dict[int, int], d: int, span: int) -> dict[int, int]:
@@ -537,11 +540,10 @@ def decompose(alpha: RestrictionClass, gamma: Permutation) -> dict[Permutation, 
             raise NotInSpanError(
                 f"residue at {w} is not divisible by the diagonal restriction"
             ) from exc
-        coeffs[w] = LaurentPoly._raw(n, {decoded[k]: c for k, c in q.items()})
+        coeffs[w] = decoded.poly(q)
         _add_product(residue, {k: -c for k, c in q.items()}, permuted_grothendieck(w, gamma), b)
     for z, res in zip(perms, residue):
-        left = {decoded[k]: c for k, c in res.items() if c}
-        if left and not canonical_zero_test(LaurentPoly._raw(n, left)):
+        if any(res.values()) and not canonical_zero_test(decoded.poly(res)):
             raise InternalInvariantError(f"nonzero residue left at {z} after the solve")
     return coeffs
 
@@ -572,7 +574,4 @@ def recompose(
     for w, c in items:
         _add_product(entries, _pack(c, weights), permuted_grothendieck(w, gamma), b)
     decoded = _Decoder(n, b)
-    return RestrictionClass._raw(n, {
-        z: LaurentPoly._raw(n, {decoded[k]: c for k, c in acc.items() if c})
-        for z, acc in zip(perms, entries)
-    })
+    return RestrictionClass._raw(n, {z: decoded.poly(acc) for z, acc in zip(perms, entries)})

@@ -665,12 +665,13 @@ class TestJsonFileReader:
         assert err.startswith(f"error: cannot read {what} {str(path)!r}: ")
 
 
+_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+
+
 def _kflag(*argv: str, stdin: bytes) -> subprocess.CompletedProcess:
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.run(
         [sys.executable, "-m", "kflag.cli", *argv],
-        input=stdin, env=env, capture_output=True, timeout=60,
+        input=stdin, env=_ENV, capture_output=True, timeout=60,
     )
 
 
@@ -689,6 +690,24 @@ class TestStdinInputs:
         done = _kflag(*CLASS_ARGV, "-", stdin=b"\xff")
         assert (done.returncode, done.stdout) == (2, b"")
         assert done.stderr.startswith(b"error: class file is not valid JSON: ")
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early, as ``kflag ... | head`` does."""
+
+    @pytest.mark.parametrize("mode", [["--json"], []], ids=["json", "text"])
+    def test_exits_141_without_a_traceback(self, mode):
+        # 2.7 MB of JSON or 0.7 MB of text, far past a pipe's buffer
+        argv = ["groth", "--n", "6", "--w", "1,2,3,4,5,6", *mode]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "kflag.cli", *argv],
+            env=_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 # small values only: the class table has no term budget, so pi on x1^(10^9)

@@ -2,8 +2,10 @@
 
 import ast
 import doctest
+import hashlib
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -39,15 +41,28 @@ def test_doctests(module):
 ROOT = Path(__file__).resolve().parent.parent
 
 
+# sha256 of each demo's stdout, with elapsed times such as "(0.01s)" read as "(-s)"
+DEMO_STDOUT = {
+    "support_theorem_sweep.py":
+        "7bc0eccd29f1a2845269e56d17da56e49461d7f01d0ad2a5340691005c2e1e2b",
+    "weight_variety_presentation.py":
+        "788e881b06fc73f0ea0d9d0c5cc77cc37d24adc9292012d428a16fcdf07b06ac",
+    "worked_example_s3.py":
+        "dee1328b5e7611b669fb197eb2a7304d323c1b1625e5b1d3dd036e2647f473c6",
+}
+
+
 @pytest.mark.parametrize(
     "script", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name
 )
 def test_demo_runs(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
-        [sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, str(script)], env=env, capture_output=True, timeout=120
     )
-    assert done.returncode == 0, done.stderr
+    assert done.returncode == 0, done.stderr.decode()
+    stdout = re.sub(rb"\(\d+\.\d+s\)", b"(-s)", done.stdout)
+    assert hashlib.sha256(stdout).hexdigest() == DEMO_STDOUT[script.name]
 
 
 def _reads(nodes):

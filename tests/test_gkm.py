@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import random
+import sys
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -759,10 +761,80 @@ class TestWalkEarlyStop:
     def test_points_below_a_stopped_node_share_the_value(self):
         # x_2, ..., x_4 do not occur, so the walk stops after z(1)
         f = LaurentPoly.x(4, 1) - LaurentPoly.y(4, 2)
-        rows = list(gkm._packed_restrictions(f, False))
-        assert len(rows) == 24
-        assert all(rows[i] is rows[6 * (i // 6)] for i in range(24))
+        nodes = list(gkm._packed_restrictions(f, False))
+        assert [(prefix, free) for prefix, free, _, _ in nodes] == [
+            ((j,), [v for v in range(1, 5) if v != j]) for j in range(1, 5)
+        ]
+        alpha = restrict_all(f)
+        for prefix, free, _, _ in nodes:
+            below = [alpha.entries[Permutation(prefix + rest)]
+                     for rest in itertools.permutations(free)]
+            assert len(below) == 6 and all(entry is below[0] for entry in below)
         assert_walk_matches_points(f)
+
+
+# stopped nodes of the walks of G_u over u in S_n; relabelling y keeps the
+# x-exponents, so every permuted class of one gamma stops at as many
+NODES = {3: 22, 4: 258, 5: 4409}
+
+
+def sums_from(monkeypatch, caller):
+    """A list that grows by one at each gkm._sums call made by the gkm function
+    named caller or by a function defined inside it."""
+    calls = []
+    real = gkm._sums
+    code = getattr(gkm, caller).__code__
+    codes = {code, *(c for c in code.co_consts if isinstance(c, types.CodeType))}
+
+    def counted(keys, coeffs):
+        if sys._getframe(1).f_code in codes:
+            calls.append(1)
+        return real(keys, coeffs)
+
+    monkeypatch.setattr(gkm, "_sums", counted)
+    return calls
+
+
+class TestNodeOutput:
+    """restrict_all, decompose and recompose read each stopped node of the walk once."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_restrict_all_sums_each_node_once(self, monkeypatch, n):
+        calls = sums_from(monkeypatch, "restrict_all")
+        perms = list(all_permutations(n))
+        for u in perms:
+            f = grothendieck(u)
+            alpha = restrict_all(f)
+            assert list(alpha.entries) == perms
+            nodes = list(gkm._packed_restrictions(f, False))
+            # the points below one node hold the very same entry object
+            for prefix, free, _, _ in nodes:
+                below = {id(alpha.entries[Permutation(prefix + rest)])
+                         for rest in itertools.permutations(free)}
+                assert len(below) == 1
+            assert len(set(map(id, alpha.entries.values()))) == len(nodes)
+            if n < 5:  # rank 5: TestPackedWalk.test_every_class_and_the_top_class
+                for z in perms:
+                    assert alpha.entries[z] == restrict(f, z), (u, z)
+        assert len(calls) == NODES[n]
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_products_sum_each_node_once(self, monkeypatch, n):
+        rng = random.Random(400 + n)
+        perms = list(all_permutations(n))
+        gamma = rng.choice(perms)
+        # a nonzero coefficient at every w: one product per basis class
+        coeff_map = {w: random_y_monomial(rng, n) for w in perms}
+        calls = sums_from(monkeypatch, "_add_product")
+        alpha = recompose(coeff_map, gamma, n)
+        assert len(calls) == NODES[n]
+        calls.clear()
+        coeffs = decompose(alpha, gamma)
+        assert len(calls) == NODES[n]
+        assert coeffs == coeff_map
+        if n < 5:  # rank 5: TestPackedSolve.test_seeded_gamma_rank_five
+            assert alpha.entries == recompose_by_points(coeff_map, gamma, n)
+            assert coeffs == decompose_by_points(alpha, gamma)
 
 
 def tied_values(u):
