@@ -32,7 +32,6 @@ from .laurent import (
     canonical_zero_test,
     elementary_symmetric,
     exact_div,
-    permute_x,
     permute_y,
     poly_from_json,
     poly_to_json,

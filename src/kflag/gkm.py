@@ -54,7 +54,7 @@ from .errors import (
     NotInSpanError,
 )
 from .groth import _y_runs, grothendieck, permuted_grothendieck
-from .laurent import MAX_TERMS, LaurentPoly, _slot_getter, canonical_zero_test
+from .laurent import MAX_TERMS, LaurentPoly, _is_permute_y, canonical_zero_test
 from .perm import Permutation, all_permutations, bruhat_leq
 
 #: Ceiling for the exhaustive support sweep.
@@ -261,8 +261,7 @@ def _class_support(u: Permutation) -> SupportSet:
     runs = _y_runs(u)
     tied = frozenset(j for a, b in runs for j in range(a + 2, b + 1))
     for j in sorted(tied):
-        swap = _slot_getter(Permutation.simple(n, j - 1), n)
-        if dict(zip(map(swap, f.terms), f.terms.values())) != f.terms:
+        if not _is_permute_y(Permutation.simple(n, j - 1), f, f):
             raise InternalInvariantError(f"G_{u} is not symmetric in y_{j - 1}, y_{j}")
     # one map of values (indexed by value) per way of permuting the values
     # a + 1, ..., b of each run

@@ -28,6 +28,7 @@ counted per generator) over 9,366 distinct keys.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, count
@@ -44,7 +45,7 @@ from .gkm import _class_support
 from .groth import _y_runs, grothendieck
 from .laurent import (
     LaurentPoly,
-    _slot_getter,
+    _is_permute_y,
     elementary_symmetric,
     polys_to_json,
 )
@@ -61,35 +62,75 @@ MAX_WEIGHT_RANK = 6
 MAX_KERNEL_RANK = 5
 
 
+#: Ceiling for the decimal digits of the numerator and of the denominator of
+#: a weight entry. A tail sum adds at most MAX_WEIGHT_RANK - 1 = 5 entries,
+#: so its numerator stays below 5 * 10^4000 and its denominator below
+#: 10^4000: every value the CLI prints (entries, tail sums, wall and
+#: soundness values) keeps under the interpreter's 4,300-digit limit on
+#: converting an int to text.
+MAX_WEIGHT_DIGITS = 800
+
+_WEIGHT_CEILING = 10**MAX_WEIGHT_DIGITS
+
+# a weight entry: sign, digits, then /digits or .digits; no exponent, space or "_"
+_ENTRY = re.compile(r"[+-]?([0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
+
+
+def _weight_entry(value) -> Fraction:
+    """value as a Fraction. Text follows _ENTRY, and its digits are bounded
+    before any integer is built; any other value goes through Fraction."""
+    if isinstance(value, str):
+        match = _ENTRY.fullmatch(value)
+        if match is None:
+            raise InvalidInputError(
+                f"cannot parse weight entry {value!r}: use an integer, a/b or a decimal"
+            )
+        # a decimal's numerator is its whole and fractional digits together
+        whole, den, frac = match.groups()
+        digits = max(len(whole) + len(frac or ""), len(den or ""))
+        if digits > MAX_WEIGHT_DIGITS:
+            raise LimitExceededError(
+                f"a weight entry with {digits} digits exceeds the digit bound"
+                f" MAX_WEIGHT_DIGITS = {MAX_WEIGHT_DIGITS}"
+            )
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise InvalidInputError(f"cannot read weight entry {value!r}") from exc
+
+
 def _fraction_json(q: Fraction) -> dict:
     return {"num": q.numerator, "den": q.denominator}
 
 
 @dataclass(frozen=True)
 class WeightVector:
-    """An exact rational vector with zero sum (an su(n) weight)."""
+    """An exact rational vector with zero sum (an su(n) weight). Each entry's
+    numerator and denominator have at most MAX_WEIGHT_DIGITS digits."""
 
     entries: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         try:
-            entries = tuple(Fraction(e) for e in self.entries)
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise InvalidInputError(f"cannot read weight entries {self.entries!r}") from exc
+            entries = tuple(map(_weight_entry, self.entries))
+        except TypeError as exc:
+            raise InvalidInputError("weight entries must be a sequence") from exc
         object.__setattr__(self, "entries", entries)
         if len(entries) < 1:
             raise InvalidInputError("weight vector must have at least one entry")
+        if any(max(abs(e.numerator), e.denominator) >= _WEIGHT_CEILING for e in entries):
+            raise LimitExceededError(
+                "a weight entry exceeds the digit bound"
+                f" MAX_WEIGHT_DIGITS = {MAX_WEIGHT_DIGITS} in its numerator or denominator"
+            )
         if sum(entries) != 0:
-            raise InvalidInputError(f"weight entries must sum to zero, got {entries}")
+            raise InvalidInputError(f"weight entries must sum to zero, got {self.format()}")
 
     @classmethod
     def parse(cls, text: str) -> "WeightVector":
-        """Parse comma-separated exact rationals such as ``"1/4,1/8,-3/8"``."""
-        try:
-            entries = tuple(Fraction(part) for part in text.split(","))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidInputError(f"cannot parse weight vector {text!r}") from exc
-        return cls(entries)
+        """Parse comma-separated exact rationals such as ``"1/4,1/8,-3/8"`` or
+        ``"0.25,-0.25"``: a sign, digits, then optionally ``/digits`` or ``.digits``."""
+        return cls(tuple(text.split(",")))
 
     @classmethod
     def staircase(cls, n: int) -> "WeightVector":
@@ -417,11 +458,7 @@ def kernel_soundness(
         base, tops, runs, checked = bases[v]
         coset = _coset(runs, gamma.images)
         if not (coset in checked and checked[coset] is gen.poly):
-            # the relabelling is a bijection on keys, so equal sizes and a match
-            # at every relabelled base key mean gen.poly == permute_y(gamma, base)
-            terms = gen.poly.terms
-            found = list(map(terms.get, map(_slot_getter(gamma, v.n), base.terms)))
-            if len(terms) != len(base.terms) or found != list(base.terms.values()):
+            if not _is_permute_y(gamma, base, gen.poly):
                 raise SoundnessFailureError(f"poly of v={v} gamma={gamma} is not its class")
             checked[coset] = gen.poly
         if gamma not in levels:

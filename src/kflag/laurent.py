@@ -17,13 +17,19 @@ from json.encoder import encode_basestring_ascii
 from operator import add, itemgetter
 from typing import Mapping, Sequence
 
-from .errors import InvalidInputError, NotDivisibleError
+from .errors import InvalidInputError, LimitExceededError, NotDivisibleError
 from .perm import Permutation
 
 #: Ceiling for the terms an operation may write: pi_1 on top(7) (484,912
 #: terms) writes 788,816 and peaks near 420 MB; 2,000,000 rank-2 terms peak
 #: near 940 MB. The CLI's ddo and gkm's binomial quotients check it.
 MAX_TERMS = 1_000_000
+
+#: Ceiling for the decimal digits of a coefficient that poly_from_json reads.
+#: One output coefficient of kflag ddo adds at most MAX_TERMS input terms,
+#: so it keeps under 4,007 digits, inside the interpreter's 4,300-digit limit
+#: on converting an int to text.
+MAX_COEFF_DIGITS = 4_000
 
 
 class LaurentPoly:
@@ -233,34 +239,14 @@ def elementary_symmetric(i: int, block: str, n: int) -> LaurentPoly:
     return LaurentPoly._raw(n, terms)
 
 
-# -- variable relabelings ----------------------------------------------------
+# -- the y-relabelling ---------------------------------------------------------
 
 
-def _slot_getter(sigma: Permutation, offset: int) -> itemgetter:
-    """An itemgetter mapping an exponent key to its relabelling by sigma.
-
-    offset 0 relabels the x block and offset n the y block: the exponent of
-    the new variable t + 1 is read from slot offset + sigma^{-1}(t + 1) - 1.
-    """
+def _slot_getter(sigma: Permutation) -> itemgetter:
+    """An itemgetter mapping an exponent key to its key under permute_y(sigma, .):
+    the exponent of y_t is read from slot n + sigma^{-1}(t) - 1."""
     n = sigma.n
-    slots = list(range(2 * n))
-    slots[offset:offset + n] = [offset + s - 1 for s in sigma.inverse().images]
-    return itemgetter(*slots)
-
-
-def _permute(sigma: Permutation, f: LaurentPoly, offset: int) -> LaurentPoly:
-    if sigma.n != f.n:
-        raise InvalidInputError(f"rank mismatch: {sigma.n} vs {f.n}")
-    if sigma.is_identity():
-        return f
-    # the relabelling is a bijection on keys, so no two terms merge
-    get = _slot_getter(sigma, offset)
-    return LaurentPoly._raw(f.n, dict(zip(map(get, f.terms), f.terms.values())))
-
-
-def permute_x(sigma: Permutation, f: LaurentPoly) -> LaurentPoly:
-    """Relabel x_i as x_{sigma(i)}; a ring automorphism."""
-    return _permute(sigma, f, 0)
+    return itemgetter(*range(n), *[n + s - 1 for s in sigma.inverse().images])
 
 
 def permute_y(sigma: Permutation, f: LaurentPoly) -> LaurentPoly:
@@ -270,7 +256,23 @@ def permute_y(sigma: Permutation, f: LaurentPoly) -> LaurentPoly:
     >>> str(permute_y(Permutation((2, 3, 1)), f))
     'x1*y2 - y1'
     """
-    return _permute(sigma, f, f.n)
+    if sigma.n != f.n:
+        raise InvalidInputError(f"rank mismatch: {sigma.n} vs {f.n}")
+    if sigma.is_identity():
+        return f
+    # the relabelling is a bijection on keys, so no two terms merge
+    get = _slot_getter(sigma)
+    return LaurentPoly._raw(f.n, dict(zip(map(get, f.terms), f.terms.values())))
+
+
+def _is_permute_y(sigma: Permutation, f: LaurentPoly, g: LaurentPoly) -> bool:
+    """Whether g == permute_y(sigma, f), without building it: the relabelling
+    is a bijection on keys, so equal sizes and a match at every relabelled
+    key of f decide it. sigma and f share one rank."""
+    terms = g.terms
+    return len(terms) == len(f.terms) and list(
+        map(terms.get, map(_slot_getter(sigma), f.terms))
+    ) == list(f.terms.values())
 
 
 # -- exact division -----------------------------------------------------------
@@ -504,7 +506,8 @@ def _exponent_vector(value) -> tuple[int, ...]:
 
 
 def poly_from_json(data: Sequence[Mapping]) -> LaurentPoly:
-    """Parse the term-list format; the rank is inferred from the exponent arrays."""
+    """Parse the term-list format; the rank is inferred from the exponent arrays.
+    A coefficient has at most MAX_COEFF_DIGITS digits."""
     if not isinstance(data, Sequence) or isinstance(data, (str, bytes)):
         raise InvalidInputError("polynomial JSON must be an array of terms")
     if not data:
@@ -519,9 +522,15 @@ def poly_from_json(data: Sequence[Mapping]) -> LaurentPoly:
             # decimal strings only: int() would also read "1_0", " 5" and a bare 7
             if not (isinstance(coeff, str) and re.fullmatch(r"-?[0-9]+", coeff)):
                 raise ValueError(f"coefficient {coeff!r} is not a decimal string")
-            coeff = int(coeff)
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"malformed polynomial term {item!r}") from exc
+        digits = len(coeff.lstrip("-"))
+        if digits > MAX_COEFF_DIGITS:
+            raise LimitExceededError(
+                f"a coefficient with {digits} digits exceeds the digit bound"
+                f" MAX_COEFF_DIGITS = {MAX_COEFF_DIGITS}"
+            )
+        coeff = int(coeff)
         if n is None:
             n = len(xexp)
         if len(xexp) != n or len(yexp) != n or n < 1:

@@ -11,9 +11,10 @@ every summand built as its own tuple, the route ``kflag.ddo`` took before
 it kept fixed summands at their terms' keys. The operator-word routes
 apply ``kflag.ddo.pi`` along this module's own bubble-sort reduced word,
 not the library's lex-least one, and the permuted classes they define
-start from the subset expansion of the top class. Monomial substitution and the variable relabellings rebuild
-each key one exponent at a time, without the library's precomputed
-getters. Supports, decompositions and recompositions go point by point
+start from the subset expansion of the top class. Every plain class also
+comes from pipe dreams, with their own Demazure products and no kflag code.
+Monomial substitution and the variable relabellings rebuild each key one
+exponent at a time, without the library's precomputed getters. Supports, decompositions and recompositions go point by point
 through ``gkm.restrict``, without the library's packed-key walk. The
 support sweep decides every pair on its own instead of once per base class.
 Kernel soundness reads both sides of every inequality from ``eta_value`` at
@@ -304,6 +305,47 @@ def top_by_subsets(n: int) -> LaurentPoly:
             key = tuple(key)
             terms[key] = terms.get(key, 0) + (-1) ** size
     return LaurentPoly(n, terms)
+
+
+# -- every class from pipe dreams ----------------------------------------------------
+
+
+def grothendieck_by_pipe_dreams(n: int) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
+    """The terms of G_w for every w in S_n, keyed by the images of w, from a
+    transfer matrix over K-theoretic pipe dreams (Fomin-Kirillov 1994,
+    Knutson-Miller 2005), in plain tuples and dicts.
+
+    The staircase cells (i, j), i + j <= n, are visited row by row from the
+    top, each row right to left. The state is the Demazure product of the
+    crosses so far: skipping a cell keeps it, and a cross at (i, j) moves it
+    to w * s_{i+j-1} when that is longer and multiplies by -(1 - y_j/x_i).
+    (-1)^l(w) times the sum at state w is the polynomial of w in the
+    convention where w0 has prod_{i+j<=n} (1 - y_j/x_i), and G_u(x; y) is
+    the polynomial of w0 * u with y_1, ..., y_n read as y_n, ..., y_1.
+    """
+    states = {t_identity(n): {(0,) * (2 * n): 1}}
+    for i in range(1, n):
+        for j in range(n - i, 0, -1):
+            a = i + j - 1
+            out = {w: dict(terms) for w, terms in states.items()}
+            for w, terms in states.items():
+                if w[a - 1] < w[a]:
+                    w = t_compose(w, t_simple(n, a))
+                target = out.setdefault(w, {})
+                for key, c in terms.items():
+                    moved = list(key)
+                    moved[i - 1] -= 1
+                    moved[n + j - 1] += 1
+                    moved = tuple(moved)
+                    target[key] = target.get(key, 0) - c
+                    target[moved] = target.get(moved, 0) + c
+            states = out
+    return {
+        tuple(n + 1 - v for v in w): {
+            key[:n] + key[n:][::-1]: (-1) ** t_length(w) * c for key, c in terms.items() if c
+        }
+        for w, terms in states.items()
+    }
 
 
 # -- operator words -----------------------------------------------------------------

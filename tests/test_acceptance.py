@@ -18,10 +18,16 @@ from kflag import groth, kirwan
 from kflag.cli import main as cli_main
 from kflag.ddo import delta, pi
 from kflag.gkm import PairCheck, decompose, recompose, restrict, verify_support_theorem
-from kflag.laurent import LaurentPoly, permute_x, write_json
+from kflag.laurent import LaurentPoly, write_json
 from kflag.perm import Permutation, all_permutations, permuted_bruhat_leq
 
-from oracles import all_reduced_words, apply_pi_word, pi_word, random_laurent
+from oracles import (
+    all_reduced_words,
+    apply_pi_word,
+    permute_x_by_terms,
+    pi_word,
+    random_laurent,
+)
 
 TESTDATA = Path(__file__).parent / "testdata"
 
@@ -119,7 +125,7 @@ def test_criterion_5_operator_laws():
                 once = pi(i, f)
                 assert pi(i, once) == once
                 q = random_laurent(rng, n, max_terms=3)
-                q_sym = q + permute_x(Permutation.simple(n, i), q)
+                q_sym = q + permute_x_by_terms(Permutation.simple(n, i), q)
                 assert pi(i, f * q_sym) == pi(i, f) * q_sym
             for i in range(1, n - 1):
                 assert delta(i, delta(i + 1, delta(i, f))) == delta(

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -629,6 +630,147 @@ class TestKernelRankBound:
             with pytest.raises(LimitExceededError, match="kernel bound 5"):
                 fn(lam, mu)
         assert kirwan.MAX_KERNEL_RANK == 5
+
+
+# lambda at the digit bound: 800-digit numerators and denominators, so a
+# tail of two entries has a denominator of about 1,600 digits
+_P1 = f"{10**800 - 1}/{10**799 + 7}"
+_P2 = f"{10**799}/{10**800 - 3}"
+BOUND_LAMBDA = f"{_P1},{_P2},-{_P2},-{_P1}"
+
+
+class TestWeightDigitBound:
+    """Weight entries follow one grammar, and their digits are bounded on the
+    text before any integer is built, so every printed value stays inside the
+    interpreter's limit on converting an int to text."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["regular", "--lambda", "1,0,-1", "--mu", "1e5000,0,0"],
+            ["regular", "--lambda", "1e5000,0,-1e5000", "--mu", "1e5000,0,-1e5000"],
+            ["regular", "--lambda", "1e5000,0,-1e5000", "--mu", "1e5000,0,-1e5000", "--json"],
+            ["kernel", "--lambda", "1e5000,1e5000,-2e5000", "--mu", "0,0,0"],
+            ["regular", "--lambda", "1,0,-1", "--mu", "1e10000000,-1e10000000,0"],
+            ["regular", "--lambda", "1,0,-1", "--mu", "1e100000000,-1e100000000,0"],
+            ["regular", "--lambda", "1_0,0,-1_0", "--mu", "0,0,0"],
+            ["regular", "--lambda", "1, 0,-1", "--mu", "0,0,0"],
+        ],
+        ids=["1e5000", "walls", "walls-json", "kernel", "exp-10-million", "exp-100-million", "underscore", "space"],
+    )
+    def test_malformed_entries_exit_2(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot parse weight entry ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["9" * 801, "1/" + "9" * 801, "0." + "0" * 799 + "1", "1" * 10**6],
+        ids=["801-digit-int", "801-digit-den", "801-digit-decimal", "million-digit-int"],
+    )
+    @pytest.mark.parametrize("command", ["regular", "kernel"])
+    def test_oversized_entries_exit_2(self, capsys, command, entry):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--lambda", f"{entry},0,-{entry}", "--mu", "0,0,0")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err.endswith("digits exceeds the digit bound MAX_WEIGHT_DIGITS = 800\n")
+
+    def test_library_refuses_oversized_values(self):
+        big = 10**kirwan.MAX_WEIGHT_DIGITS
+        for entries in [(big, 0, -big), (Fraction(1, big), 0, Fraction(-1, big))]:
+            with pytest.raises(LimitExceededError, match="MAX_WEIGHT_DIGITS = 800"):
+                kirwan.WeightVector(entries)
+        assert kirwan.WeightVector((big - 1, 0, 1 - big)).format() == f"{big - 1},0,-{big - 1}"
+
+    def test_sum_message_prints_the_vector(self, capsys):
+        code, _, err = run(capsys, "regular", "--lambda", "1,0,0", "--mu", "0,0,0")
+        assert (code, err) == (2, "error: weight entries must sum to zero, got 1,0,0\n")
+
+    def test_values_at_the_bound_print(self, capsys):
+        lam = kirwan.WeightVector.parse(BOUND_LAMBDA)
+        code, out, err = run(capsys, "regular", "--lambda", BOUND_LAMBDA, "--mu", BOUND_LAMBDA)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == "not regular"
+        values = [line.rsplit("value=", 1)[1] for line in lines[1:]]
+        assert str(lam.entries[0] + lam.entries[1]) in values
+        assert max(map(len, values)) > 3000
+        code, out, err = run(
+            capsys, "regular", "--lambda", BOUND_LAMBDA, "--mu", BOUND_LAMBDA, "--json"
+        )
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["walls"]) == len(lines) - 1
+
+    def test_kernel_check_at_the_bound(self, capsys):
+        mu = "31/97,17/97,-11/97,-37/97"
+        code, out, err = run(capsys, "kernel", "--lambda", BOUND_LAMBDA, "--mu", mu, "--check")
+        assert (code, err) == (0, "")
+        gens = kirwan.kernel_generators(
+            kirwan.WeightVector.parse(BOUND_LAMBDA), kirwan.WeightVector.parse(mu)
+        )
+        assert len(out.splitlines()) == len(gens) > 0
+
+    def test_rank_six_tails_stay_inside_the_int_text_limit(self):
+        # with zero sum, a tail at rank 6 equals a sum of at most three entries
+        dens = [10**799 + 7, 10**799 + 9, 10**799 + 13]
+        head = [Fraction(10**800 - 1 - i, d) for i, d in enumerate(dens)]
+        lam = kirwan.WeightVector(tuple(head + [-e for e in reversed(head)]))
+        ident = Permutation.identity(6)
+        tails = [kirwan.eta_value(ident, k, lam) for k in range(1, 6)]
+        digits = [len(str(abs(q.numerator))) for q in tails] + [len(str(q.denominator)) for q in tails]
+        assert 2000 < max(digits) < 4300
+
+
+def _coefficient_file(tmp_path, coeff: str) -> str:
+    # coeff on x1^2 and on x1*x2: pi_1 adds the two at x1*x2
+    path = tmp_path / "poly.json"
+    terms = [{"coeff": coeff, "x": x, "y": [0, 0]} for x in ([2, 0], [1, 1])]
+    path.write_text(json.dumps(terms))
+    return str(path)
+
+
+class TestCoefficientDigitBound:
+    """Polynomial and class files carry coefficients of at most
+    MAX_COEFF_DIGITS digits, so the outputs of ddo and decompose print."""
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("digits", [4001, 4300])
+    def test_ddo_refuses_oversized_coefficients(self, capsys, tmp_path, mode, digits):
+        poly_file = _coefficient_file(tmp_path, "9" * digits)
+        code, out, err = run(capsys, *POLY_ARGV, poly_file, *mode)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: a coefficient with {digits} digits exceeds the digit bound"
+            " MAX_COEFF_DIGITS = 4000\n"
+        )
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_ddo_prints_coefficients_at_the_bound(self, capsys, tmp_path, mode):
+        c = 10**4000 - 1
+        code, out, err = run(capsys, *POLY_ARGV, _coefficient_file(tmp_path, str(c)), *mode)
+        assert (code, err) == (0, "")
+        assert str(2 * c) in out
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_decompose_at_and_over_the_bound(self, capsys, tmp_path, mode):
+        c = 10**4000 - 1
+        for coeff, expected in [(c, 0), (10 * c, 2)]:
+            path = tmp_path / "class.json"
+            path.write_text(json.dumps(restriction_class_to_json(restrict_all(coeff * top(2)))))
+            code, out, err = run(capsys, *CLASS_ARGV, str(path), *mode)
+            assert code == expected
+            if expected:
+                assert out == "" and "MAX_COEFF_DIGITS = 4000" in err
+            elif mode:
+                assert json.loads(out) == [
+                    {"w": [1, 2], "coeff": poly_to_json(LaurentPoly.const(2, c))},
+                    {"w": [2, 1], "coeff": []},
+                ]
+            else:
+                assert out == f"1,2: {c}\n2,1: 0\n"
 
 
 # the two JSON file inputs, each argv ending before the file path

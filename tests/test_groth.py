@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from kflag import groth
@@ -7,7 +9,7 @@ from kflag.laurent import LaurentPoly, canonical_zero_test, exact_div, permute_y
 from kflag.errors import NotDivisibleError
 from kflag.perm import Permutation, all_permutations
 
-from oracles import permuted_grothendieck_by_word, top_by_subsets
+from oracles import grothendieck_by_pipe_dreams, permuted_grothendieck_by_word, top_by_subsets
 
 
 def yv(n, i):
@@ -55,6 +57,13 @@ class TestGrothendieck:
         groth.clear_cache()
         second = {w: groth.grothendieck(w) for w in all_permutations(3)}
         assert first == second
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_class_matches_pipe_dreams(self, n):
+        dreams = grothendieck_by_pipe_dreams(n)
+        assert len(dreams) == math.factorial(n)
+        for images, terms in dreams.items():
+            assert groth.grothendieck(Permutation(images)).terms == terms, images
 
 
 class TestPermutedGrothendieck:

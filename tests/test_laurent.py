@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from kflag.errors import InvalidInputError, NotDivisibleError
 from kflag.laurent import (
     LaurentPoly,
+    _is_permute_y,
     canonical_zero_test,
     elementary_symmetric,
     exact_div,
-    permute_x,
     permute_y,
     poly_from_json,
     poly_to_json,
@@ -22,13 +22,12 @@ from kflag.laurent import (
     write_json,
 )
 from kflag.gkm import restrict_all
-from kflag.groth import top
+from kflag.groth import grothendieck, top
 from kflag.kirwan import WallHit, WeightVector, is_regular
 from kflag.perm import Permutation, all_permutations
 
 from oracles import (
     eval_poly,
-    permute_x_by_terms,
     permute_y_by_terms,
     random_laurent,
     random_point,
@@ -109,10 +108,6 @@ class TestBasics:
 
 
 class TestPermute:
-    def test_permute_x_simple(self):
-        s1 = Permutation((2, 1, 3))
-        assert permute_x(s1, xv(3, 1)) == xv(3, 2)
-
     def test_permute_y_roundtrip(self):
         rng = random.Random(5)
         g = Permutation((3, 1, 2))
@@ -126,7 +121,7 @@ class TestPermute:
         for _ in range(10):
             f1 = random_laurent(rng, 3)
             f2 = random_laurent(rng, 3)
-            assert permute_x(g, f1 * f2) == permute_x(g, f1) * permute_x(g, f2)
+            assert permute_y(g, f1 * f2) == permute_y(g, f1) * permute_y(g, f2)
             assert permute_y(g, f1 + f2) == permute_y(g, f1) + permute_y(g, f2)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -135,8 +130,39 @@ class TestPermute:
         polys = [random_laurent(rng, n, max_terms=8) for _ in range(4)]
         for sigma in all_permutations(n):
             for f in polys:
-                assert permute_x(sigma, f).terms == permute_x_by_terms(sigma, f).terms
                 assert permute_y(sigma, f).terms == permute_y_by_terms(sigma, f).terms
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_relabel_check_accepts_every_relabelling(self, n):
+        rng = random.Random(70 + n)
+        polys = [top(n)] + [random_laurent(rng, n, max_terms=8) for _ in range(3)]
+        for sigma in all_permutations(n):
+            for f in polys:
+                assert _is_permute_y(sigma, f, permute_y_by_terms(sigma, f))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_relabel_check_rejects_other_polynomials(self, n):
+        f = top(n)
+        for sigma in all_permutations(n):
+            g = permute_y_by_terms(sigma, f).terms
+            key = max(g)
+            changed = {**g, key: g[key] + 1}
+            dropped = {k: c for k, c in g.items() if k != key}
+            extra = {**g, (0,) * n + (1,) * n: 1}
+            for terms in (changed, dropped, extra):
+                assert not _is_permute_y(sigma, f, LaurentPoly(n, terms))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_relabel_check_sees_which_swaps_fix_the_class(self, n):
+        # permute_y(sigma * s_j, f) == permute_y(sigma, f) exactly when s_j fixes f
+        for u in all_permutations(n):
+            f = grothendieck(u)
+            for j in range(1, n):
+                s = Permutation.simple(n, j)
+                fixes = permute_y_by_terms(s, f).terms == f.terms
+                for sigma in all_permutations(n):
+                    g = permute_y_by_terms(sigma, f)
+                    assert _is_permute_y(sigma * s, f, g) == fixes
 
     def test_relabelled_top_class_rank_five(self):
         f = top(5)
