@@ -25,16 +25,15 @@ node once for its points, in packed keys, and decode only what they return;
 support(f) tests each point. ``restrict(f, z)`` at one point is the oracle.
 
 The sweep and kernel soundness read the support of a plain class G_u
-through _class_support, which walks one point per coset of its
-y-symmetries. G_u is symmetric in the y-variables of each run [a, b) of
-groth._y_runs(u), so z and z with two of the values a + 1, ..., b swapped
-lie in the support together. The walk places each of a + 2, ..., b (the
-tied values) only after the value below it, decides each node where it
-stops by one zero test, and expands each point found by every order of
-the values of each run. Before walking it checks G_u against each tied
-swap (one dict comparison per tie) and raises InternalInvariantError on a
-mismatch, so the sweep's evidence does not rest on the symmetry. support(f)
-takes any polynomial and tests every point; it is the oracle of this route.
+through _coset_support(G_u), which takes any polynomial f and walks one
+point per coset of its y-symmetries. It reads them off f: slots j - 1 and
+j share a run [a, b) when swapping y_j, y_{j+1} fixes f (one relabel check
+per j). Then f is symmetric in the y-variables of each run, so z and z
+with two of the values a + 1, ..., b swapped lie in the support together.
+The walk places each of a + 2, ..., b (the tied values) only after the
+value below it, decides each node where it stops by one zero test, and
+expands each point found by every order of the values of each run.
+support(f) tests every point; it is the oracle of this route.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ from .errors import (
     NotDivisibleError,
     NotInSpanError,
 )
-from .groth import _y_runs, grothendieck, permuted_grothendieck
+from .groth import grothendieck, permuted_grothendieck
 from .laurent import MAX_TERMS, LaurentPoly, _is_permute_y, canonical_zero_test
 from .perm import Permutation, all_permutations, bruhat_leq
 
@@ -172,7 +171,7 @@ def _packed_restrictions(
 
 def _nonzero_at(keys: Sequence[int], coeffs: Sequence[int]) -> bool:
     """Whether the packed restriction at one fixed point has a nonzero coefficient;
-    support makes one call per point, _class_support one per stopped node."""
+    support makes one call per point, _coset_support one per stopped node."""
     return any(_sums(keys, coeffs).values())
 
 
@@ -253,16 +252,13 @@ def support(f: LaurentPoly) -> SupportSet:
     return frozenset(z for z, (k, c) in zip(all_permutations(f.n), rows) if _nonzero_at(k, c))
 
 
-def _class_support(u: Permutation) -> SupportSet:
-    """supp(G_u), walking one point per coset of the y-symmetries of G_u
-    (module docstring), as Permutations of all_permutations(n). Raises
-    InternalInvariantError if a tied swap does not fix G_u."""
-    f, n = grothendieck(u), u.n
-    runs = _y_runs(u)
+def _coset_support(f: LaurentPoly) -> SupportSet:
+    """supp(f) as Permutations of all_permutations(n), walking one point per
+    coset of f's y-symmetries: y_j, y_{j+1} share a run when swapping them fixes f."""
+    n = f.n
+    ends = [j for j in range(1, n) if not _is_permute_y(Permutation.simple(n, j), f, f)]
+    runs = list(zip([0, *ends], [*ends, n]))
     tied = frozenset(j for a, b in runs for j in range(a + 2, b + 1))
-    for j in sorted(tied):
-        if not _is_permute_y(Permutation.simple(n, j - 1), f, f):
-            raise InternalInvariantError(f"G_{u} is not symmetric in y_{j - 1}, y_{j}")
     # one map of values (indexed by value) per way of permuting the values
     # a + 1, ..., b of each run
     group = [list(range(n + 1))]
@@ -377,7 +373,7 @@ def verify_support_theorem(n: int) -> SweepReport:
     # per u: supp(G_u), [e, u] and the points where they differ, as indices
     bases = []
     for u in perms:
-        supp = sorted(index[z.images] for z in _class_support(u))
+        supp = sorted(index[z.images] for z in _coset_support(grothendieck(u)))
         interval = [i for i, p in enumerate(perms) if bruhat_leq(p, u)]
         nonzero, inside = set(supp), set(interval)
         rows = [(i, i in nonzero, i in inside) for i in sorted(nonzero ^ inside)]

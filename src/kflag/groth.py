@@ -10,9 +10,6 @@ rank. The cache is filled along canonical reduced words, so exhaustive
 sweeps over S_n share every intermediate operator application; permuted
 classes are never stored, they are y-relabelings of cached plain classes.
 Cached values are treated as immutable.
-G_u is symmetric in y_j, y_{j+1} exactly when u^-1(j) > u^-1(j+1) (tested by
-brute force). _y_runs(u) is the one home of this rule: gkm walks supports
-and kirwan shares polynomials over the runs of y-slots that it joins.
 """
 
 from __future__ import annotations
@@ -89,14 +86,6 @@ def permuted_grothendieck(w: Permutation, gamma: Permutation) -> LaurentPoly:
     if gamma.is_identity():
         return grothendieck(w)
     return permute_y(gamma, grothendieck(gamma.inverse() * w))
-
-
-def _y_runs(u: Permutation) -> tuple[tuple[int, int], ...]:
-    """The runs [a, b) of 0-based y-slots, in increasing order, inside which
-    G_u is symmetric: slots j - 1 and j share a run iff u^-1(j) > u^-1(j+1)."""
-    inv = u.inverse().images
-    ends = [e for e in range(1, u.n) if inv[e - 1] < inv[e]]
-    return tuple(zip([0, *ends], [*ends, u.n]))
 
 
 def clear_cache() -> None:

@@ -11,18 +11,18 @@ ideal and the determinant relation.
 
 Each generator relabels a base class: its class is permute_y(gamma, G_{v^-1})
 and its support gamma * supp(G_{v^-1}), so soundness needs one support per v,
-walked over the cosets of its y-symmetries (gkm._class_support), and one
-largest lam tail per (v, k), checked once per witness. groth._y_runs(v^-1)
-joins the positions j, j + 1 with v(j) > v(j+1) into runs, so the
-generators of one v whose gammas differ by those s_j share one polynomial,
-and soundness checks that polynomial against its class once per coset.
-kernel_generators builds one term dict per such coset. It splits each
-distinct key of the base classes into its x part and its y part, relabels
-each distinct y part once per gamma and builds each relabelled key once, so
-its generators share their key tuples: at rank 5 the 105 base classes hold
-776 distinct keys over 120 x parts and 120 y parts, and the 11,520
-generators hold 3,195 distinct polynomials with 455,751 terms (1.09 M
-counted per generator) over 9,366 distinct keys.
+walked over the cosets of the y-symmetries it finds in G_{v^-1}
+(gkm._coset_support), and one largest lam tail per (v, k), checked once per
+witness. G_{v^-1} is symmetric in y_j, y_{j+1} exactly when v(j) > v(j+1),
+and only kernel_generators relies on it: _y_runs joins those positions
+into runs, and the generators of one v whose gammas differ by those s_j
+share one polynomial. kernel_generators builds one term dict per such
+coset. It splits each distinct key of the base classes into its x part and
+its y part, relabels each distinct y part once per gamma and builds each
+relabelled key once, so its generators share their key tuples: at rank 5
+the 105 base classes hold 776 distinct keys over 120 x parts and 120 y
+parts, and the 11,520 generators hold 3,195 distinct polynomials with
+455,751 terms (1.09 M counted per generator) over 9,366 distinct keys.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from .errors import (
     NotRegularError,
     SoundnessFailureError,
 )
-from .gkm import _class_support
-from .groth import _y_runs, grothendieck
+from .gkm import _coset_support
+from .groth import grothendieck
 from .laurent import (
     LaurentPoly,
     _is_permute_y,
@@ -78,7 +78,10 @@ _ENTRY = re.compile(r"[+-]?([0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
 
 def _weight_entry(value) -> Fraction:
     """value as a Fraction. Text follows _ENTRY, and its digits are bounded
-    before any integer is built; any other value goes through Fraction."""
+    before any integer is built; any other value must be an int (not a bool)
+    or a Fraction, so that nothing inexact is converted."""
+    if not isinstance(value, (str, int, Fraction)) or isinstance(value, bool):
+        raise InvalidInputError(f"weight entry {value!r} is not an int, a Fraction or text")
     if isinstance(value, str):
         match = _ENTRY.fullmatch(value)
         if match is None:
@@ -105,7 +108,8 @@ def _fraction_json(q: Fraction) -> dict:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """An exact rational vector with zero sum (an su(n) weight). Each entry's
+    """An exact rational vector with zero sum (an su(n) weight). Entries are
+    ints, Fractions or text (floats and bools are refused); each entry's
     numerator and denominator have at most MAX_WEIGHT_DIGITS digits."""
 
     entries: tuple[Fraction, ...]
@@ -305,6 +309,14 @@ def _picker(slots: list[int]):
     return itemgetter(*slots)
 
 
+def _y_runs(u: Permutation) -> tuple[tuple[int, int], ...]:
+    """The runs [a, b) of 0-based y-slots, in increasing order, inside which
+    G_u is symmetric: slots j - 1 and j share a run iff u^-1(j) > u^-1(j+1)."""
+    inv = u.inverse().images
+    ends = [e for e in range(1, u.n) if inv[e - 1] < inv[e]]
+    return tuple(zip([0, *ends], [*ends, u.n]))
+
+
 def _coset(runs: tuple[tuple[int, int], ...], images: tuple[int, ...]) -> tuple[int, ...]:
     # a coset's key: gamma's images sorted within each run
     return tuple(c for a, b in runs for c in sorted(images[a:b]))
@@ -422,11 +434,11 @@ def kernel_soundness(
     SoundnessFailureError naming that (z, k). The inequalities are decided
     on the integer tails of _scaled; the checks carry the exact Fractions.
 
-    The class check runs once per v and coset of gamma, as kernel_generators
-    groups them: a generator whose poly is the very object that passed for
-    its v and coset shares that class and is not checked again.
+    A poly object that passed as the class of (v, g) passes for (v, gamma)
+    when g^-1 gamma fixes G_{v^-1}, one relabel check per v and g^-1 gamma;
+    every other generator gets the full class check.
     """
-    bases: dict[Permutation, tuple[LaurentPoly, list, tuple, dict]] = {}
+    bases: dict[Permutation, tuple[LaurentPoly, list, dict, dict]] = {}
     # per gamma, the mu tails and their Fractions
     levels: dict[Permutation, tuple[tuple, list[Fraction]]] = {}
     perm_of: dict[tuple[int, ...], Permutation] = {}
@@ -439,8 +451,8 @@ def kernel_soundness(
         if v not in bases:
             if not perm_of:
                 perm_of = {p.images: p for p in all_permutations(v.n)}
-            u = v.inverse()
-            base, supp = grothendieck(u), list(_class_support(u))
+            base = grothendieck(v.inverse())
+            supp = list(_coset_support(base))
             # p^-1 lists p's positions in the order of their values
             tails = _tail_sums(lam_ints, [
                 perm_of[tuple(map(itemgetter(1), sorted(zip(p.images, count(1)))))]
@@ -454,13 +466,18 @@ def kernel_soundness(
                 worst = [p for p, t in zip(supp, tails) if t[k] == top]
                 picks = [_picker([i - 1 for i in p.images]) for p in worst]
                 tops.append((top, Fraction(top, d), picks))
-            bases[v] = base, tops, _y_runs(u), {}
-        base, tops, runs, checked = bases[v]
-        coset = _coset(runs, gamma.images)
-        if not (coset in checked and checked[coset] is gen.poly):
+            bases[v] = base, tops, {}, {}
+        # passed: id(poly) -> (0, *g^-1) for a poly that passed as the class of
+        # (v, g) (certs keeps it alive); fixes: g^-1 gamma -> fixes G_{v^-1}
+        base, tops, passed, fixes = bases[v]
+        ginv = passed.get(id(gen.poly))
+        sigma = ginv and tuple(map(ginv.__getitem__, gamma.images))
+        if sigma and sigma not in fixes:
+            fixes[sigma] = _is_permute_y(perm_of[sigma], base, base)
+        if not (sigma and fixes[sigma]):
             if not _is_permute_y(gamma, base, gen.poly):
                 raise SoundnessFailureError(f"poly of v={v} gamma={gamma} is not its class")
-            checked[coset] = gen.poly
+            passed[id(gen.poly)] = (0, *gamma.inverse().images)
         if gamma not in levels:
             level = _tail_sums(mu_ints, [gamma])[0]
             levels[gamma] = level, [Fraction(t, d) for t in level]

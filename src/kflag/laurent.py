@@ -14,7 +14,7 @@ import itertools
 import re
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
-from operator import add, itemgetter
+from operator import add, eq, itemgetter
 from typing import Mapping, Sequence
 
 from .errors import InvalidInputError, LimitExceededError, NotDivisibleError
@@ -268,11 +268,11 @@ def permute_y(sigma: Permutation, f: LaurentPoly) -> LaurentPoly:
 def _is_permute_y(sigma: Permutation, f: LaurentPoly, g: LaurentPoly) -> bool:
     """Whether g == permute_y(sigma, f), without building it: the relabelling
     is a bijection on keys, so equal sizes and a match at every relabelled
-    key of f decide it. sigma and f share one rank."""
+    key of f (up to the first miss) decide it. sigma and f share one rank."""
     terms = g.terms
-    return len(terms) == len(f.terms) and list(
-        map(terms.get, map(_slot_getter(sigma), f.terms))
-    ) == list(f.terms.values())
+    return len(terms) == len(f.terms) and all(
+        map(eq, map(terms.get, map(_slot_getter(sigma), f.terms)), f.terms.values())
+    )
 
 
 # -- exact division -----------------------------------------------------------

@@ -457,7 +457,7 @@ def sweep_by_pairs(n: int) -> gkm.SweepReport:
     gamma, sorts both lists and compares them point by point over S_n in
     lexicographic order. Supports are read through ``gkm.support`` at call
     time, so a test can patch it with the same change it makes to
-    ``gkm._class_support``, which the library reads; the intervals come from
+    ``gkm._coset_support``, which the library reads; the intervals come from
     the subword criterion.
     """
     universe = sorted(itertools.permutations(range(1, n + 1)))

@@ -1,6 +1,8 @@
-"""The benchmark's name contract: bench/spans.py wraps library functions by
-name, so each name it traces must resolve against the library. A rename
-that would break the traced benchmark fails here too."""
+"""The benchmark's name and count contract: bench/spans.py wraps library
+functions by name, so each name it traces must resolve against the library,
+and it counts the zero tests of support(f), which bench/test_bench.py pins.
+A rename or a count change that would break the traced benchmark fails
+here too."""
 
 import importlib
 import importlib.util
@@ -8,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import kflag
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -31,3 +35,12 @@ def test_every_traced_name_resolves(spans):
             assert part in vars(obj), f"{target.owner}.{target.attr}"
             obj = vars(obj)[part]
         assert callable(obj), f"{target.owner}.{target.attr}"
+
+
+def test_support_makes_one_zero_test_per_point(spans):
+    # bench/test_bench.py pins 6 _nonzero_at calls for G_213 under the tracer
+    # (gkm.support.points_tested): support(f) must not take the coset walk
+    # until that pin is re-recorded
+    with spans.Tracer() as tracer:
+        kflag.gkm.support(kflag.grothendieck(kflag.Permutation((2, 1, 3))))
+    assert tracer.summary()["gkm.support"]["b"] == 6

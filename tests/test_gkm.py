@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from kflag import gkm
 from kflag.cli import main as cli_main
 from kflag.errors import (
-    InternalInvariantError,
     InvalidInputError,
     LimitExceededError,
     NotInSpanError,
@@ -26,6 +25,7 @@ from kflag.gkm import (
     verify_support_theorem,
 )
 from kflag.groth import grothendieck, permuted_grothendieck, top
+from kflag.kirwan import _y_runs
 from kflag.laurent import (
     LaurentPoly,
     canonical_zero_test,
@@ -35,6 +35,7 @@ from kflag.perm import Permutation, all_permutations, bruhat_leq, permuted_bruha
 
 from oracles import (
     decompose_by_points,
+    permute_y_by_terms,
     random_laurent,
     recompose_by_points,
     substitute,
@@ -410,27 +411,24 @@ class TestVerifySweep:
     def test_injected_failures_match_the_per_pair_route(self, monkeypatch):
         # drop u from supp(G_u) at u = 2,4,1,3 and add two points outside
         # [e, u] at u = 1,3,2,4, whose order some gamma reverses; the library
-        # reads supports through gkm._class_support and the oracle through
+        # reads supports through gkm._coset_support and the oracle through
         # gkm.support, and both are patched with the same injection
         dropped, added = Permutation((2, 4, 1, 3)), Permutation((1, 3, 2, 4))
         extra = {Permutation((4, 3, 2, 1)), Permutation((3, 4, 1, 2))}
-        true_support, true_class_support = gkm.support, gkm._class_support
 
-        def inject(u, supp):
-            if u == dropped:
-                return supp - {dropped}
-            if u == added:
-                return supp | extra
-            return supp
+        def injected(route):
+            def patched(f):
+                supp = route(f)
+                if f == grothendieck(dropped):
+                    return supp - {dropped}
+                if f == grothendieck(added):
+                    return supp | extra
+                return supp
 
-        def patched(f):
-            for u in (dropped, added):
-                if f == grothendieck(u):
-                    return inject(u, true_support(f))
-            return true_support(f)
+            return patched
 
-        monkeypatch.setattr(gkm, "support", patched)
-        monkeypatch.setattr(gkm, "_class_support", lambda u: inject(u, true_class_support(u)))
+        monkeypatch.setattr(gkm, "support", injected(gkm.support))
+        monkeypatch.setattr(gkm, "_coset_support", injected(gkm._coset_support))
         report = verify_support_theorem(4)
         oracle = sweep_by_pairs(4)
         assert report.to_json_obj() == oracle.to_json_obj()
@@ -838,8 +836,9 @@ class TestNodeOutput:
 
 
 def tied_values(u):
-    """The values a + 2, ..., b of each run [a, b) of _y_runs(u)."""
-    return {j for a, b in gkm._y_runs(u) for j in range(a + 2, b + 1)}
+    """The values a + 2, ..., b of each run [a, b) of kirwan._y_runs(u); the
+    runs are the ones whose tied values these are, so each determines the other."""
+    return {j for a, b in _y_runs(u) for j in range(a + 2, b + 1)}
 
 
 def representatives(u):
@@ -851,69 +850,111 @@ def representatives(u):
     ]
 
 
+def e_of_run(k, n, a, b):
+    """e_k(y_(a+1), ..., y_b): symmetric in the y-variables of the run [a, b)."""
+    total = LaurentPoly.zero(n)
+    for c in itertools.combinations(range(a, b), k):
+        total = total + LaurentPoly.monomial(n, 1, yexp=tuple(int(j in c) for j in range(n)))
+    return total
+
+
+def assert_coset_support_matches(f):
+    assert gkm._coset_support(f) == support(f), f
+
+
 class TestClassSupport:
-    """supp(G_u) over y-symmetry cosets against the walk over every point."""
+    """gkm._coset_support(f), over the cosets of the y-symmetries found in f,
+    against support(f), the walk over every point: classes and other polynomials."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_every_class(self, n):
         for u in all_permutations(n):
-            assert gkm._class_support(u) == support(grothendieck(u)), u
+            assert_coset_support_matches(grothendieck(u))
 
     def test_rank_six_sample(self):
         rng = random.Random(18)
         perms = list(all_permutations(6))
         for u in rng.sample(perms, 8) + [perms[0], perms[-1]]:
-            assert gkm._class_support(u) == support(grothendieck(u)), u
+            assert_coset_support_matches(grothendieck(u))
 
     def test_returns_the_library_permutations(self):
         perms = set(map(id, all_permutations(4)))
         for u in all_permutations(4):
-            assert all(id(z) in perms for z in gkm._class_support(u))
+            assert all(id(z) in perms for z in gkm._coset_support(grothendieck(u)))
 
     def test_ties_are_the_descents_of_the_inverse(self):
-        assert gkm._y_runs(Permutation((1, 2, 3))) == ((0, 1), (1, 2), (2, 3))
-        assert gkm._y_runs(Permutation((3, 2, 1))) == ((0, 3),)
+        assert _y_runs(Permutation((1, 2, 3))) == ((0, 1), (1, 2), (2, 3))
+        assert _y_runs(Permutation((3, 2, 1))) == ((0, 3),)
         # u^-1 = 3,1,2: only 2 comes before 1 in u, so only y_1, y_2 share a run
-        assert gkm._y_runs(Permutation((2, 3, 1))) == ((0, 2), (2, 3))
+        assert _y_runs(Permutation((2, 3, 1))) == ((0, 2), (2, 3))
         assert tied_values(Permutation((3, 2, 1))) == {2, 3}
-        assert gkm._y_runs(Permutation((1,))) == ((0, 1),)
+        assert _y_runs(Permutation((1,))) == ((0, 1),)
 
     @pytest.mark.parametrize("n", [3, 4])
-    def test_ties_at_ascents_fail(self, monkeypatch, n):
-        # the mutation: join slots j - 1, j where u^-1(j) < u^-1(j+1)
-        def ascents(u):
-            inv = u.inverse().images
-            ends = [e for e in range(1, u.n) if inv[e - 1] > inv[e]]
-            return tuple(zip([0, *ends], [*ends, u.n]))
-
-        monkeypatch.setattr(gkm, "_y_runs", ascents)
-        failed = 0
+    def test_a_class_plus_y1(self, n):
+        # y_1 breaks the symmetry in y_1, y_2 and keeps the others
         for u in all_permutations(n):
-            truth = support(grothendieck(u))
-            try:
-                got = gkm._class_support(u)
-            except InternalInvariantError:
-                got = None
-            if len(ascents(u)) < n:
-                assert got != truth, u
-                failed += 1
-            else:
-                assert got == truth, u
-        assert failed == len(list(all_permutations(n))) - 1
+            assert_coset_support_matches(grothendieck(u) + yv(n, 1))
 
-    @pytest.mark.parametrize(
-        "u, extra, message",
-        [
-            ((2, 1, 3), LaurentPoly.y(3, 1), "y_1, y_2"),
-            # symmetric in y_1, y_2 and not in y_2, y_3: the second tie fails
-            ((3, 2, 1), LaurentPoly.y(3, 3), "y_2, y_3"),
-        ],
-    )
-    def test_a_polynomial_without_the_symmetry_raises(self, monkeypatch, u, extra, message):
-        u = Permutation(u)
-        monkeypatch.setattr(gkm, "grothendieck", lambda w: grothendieck(w) + extra)
-        with pytest.raises(InternalInvariantError, match=message):
-            gkm._class_support(u)
+    @pytest.mark.parametrize("n, pairs", [(3, 36), (4, 16)])
+    def test_products_of_two_classes(self, n, pairs):
+        perms = list(all_permutations(n))
+        grid = list(itertools.product(perms, perms))
+        for u, w in random.Random(220 + n).sample(grid, pairs):
+            assert_coset_support_matches(grothendieck(u) * grothendieck(w))
+
+    @pytest.mark.parametrize("n, pairs", [(3, 36), (4, 24)])
+    def test_relabelled_classes(self, n, pairs):
+        # permute_y(gamma, G_u) is symmetric in y_gamma(j), y_gamma(j+1), which
+        # need not be adjacent
+        perms = list(all_permutations(n))
+        grid = list(itertools.product(perms, perms))
+        for u, gamma in random.Random(230 + n).sample(grid, pairs):
+            assert_coset_support_matches(permuted_grothendieck(gamma * u, gamma))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_random_polynomials(self, n):
+        rng = random.Random(240 + n)
+        for _ in range(20):
+            f = random_laurent(rng, n)
+            assert_coset_support_matches(f)
+            # keep f's y-exponents outside a run, then multiply by e_k of the run
+            a = rng.randrange(n - 1)
+            b = rng.randint(a + 2, n)
+            outside = LaurentPoly(n, {})
+            for key, c in f.terms.items():
+                yexp = tuple(0 if a <= j < b else e for j, e in enumerate(key[n:]))
+                outside = outside + LaurentPoly.monomial(n, c, xexp=key[:n], yexp=yexp)
+            g = outside * e_of_run(rng.randint(1, b - a), n, a, b)
+            for j in range(a + 1, b):
+                assert permute_y_by_terms(Permutation.simple(n, j), g) == g
+            assert_coset_support_matches(g)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_zero_and_a_constant(self, n):
+        assert gkm._coset_support(LaurentPoly.zero(n)) == frozenset()
+        assert gkm._coset_support(LaurentPoly.const(n, -3)) == frozenset(all_permutations(n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_runs_found_are_the_descent_runs(self, monkeypatch, n):
+        # the spy keeps the tied values the walk is given and ends the walk
+        given = []
+        monkeypatch.setattr(
+            gkm, "_packed_restrictions", lambda f, det, tied: given.append(tied) or iter(())
+        )
+        for u in all_permutations(n):
+            gkm._coset_support(grothendieck(u))
+            assert given.pop() == tied_values(u), u
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_claiming_every_swap_fixes_fails(self, monkeypatch, n):
+        # the mutation: the detection finds one run of all n slots for every f
+        truth = {u: support(grothendieck(u)) for u in all_permutations(n)}
+        monkeypatch.setattr(gkm, "_is_permute_y", lambda sigma, f, g: True)
+        longest = Permutation.longest(n)
+        for u, supp in truth.items():
+            got = gkm._coset_support(grothendieck(u))
+            assert (got == supp) == (u == longest), u
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_one_test_per_stopped_node(self, monkeypatch, n):
@@ -934,9 +975,10 @@ class TestClassSupport:
                 below |= {prefix + rest for rest in itertools.permutations(free)}
             assert {z.images for z in reps} <= below
             calls.clear()
-            gkm._class_support(u)
+            gkm._coset_support(f)
             assert len(calls) == len(nodes) <= len(reps)
         # G_{w0} = 1 has no x-exponent and ties every value: one node, the root
         calls.clear()
-        assert gkm._class_support(Permutation.longest(n)) == frozenset(all_permutations(n))
+        f = grothendieck(Permutation.longest(n))
+        assert gkm._coset_support(f) == frozenset(all_permutations(n))
         assert len(calls) == 1

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 from operator import itemgetter
 
@@ -10,11 +11,12 @@ from kflag.errors import (
     NotRegularError,
     SoundnessFailureError,
 )
-from kflag.gkm import support
-from kflag.groth import _y_runs, grothendieck, permuted_grothendieck
+from kflag.gkm import decompose, restrict_all, support
+from kflag.groth import grothendieck, permuted_grothendieck
 from kflag.kirwan import (
     KernelGenerator,
     WeightVector,
+    _y_runs,
     det_relation,
     eta_value,
     half_space_soundness,
@@ -25,7 +27,7 @@ from kflag.kirwan import (
     presentation,
 )
 from kflag.laurent import LaurentPoly, elementary_symmetric, poly_to_json, polys_to_json
-from kflag.perm import Permutation, all_permutations, permuted_bruhat_leq
+from kflag.perm import Permutation, all_permutations, bruhat_leq, permuted_bruhat_leq
 
 from oracles import permute_y_by_terms, pi_word, soundness_by_points, t_simple
 
@@ -131,6 +133,20 @@ class TestWeightVector:
             W("1,abc,-1")
         with pytest.raises(InvalidInputError):
             W("1/0,0,-1")
+
+    @pytest.mark.parametrize(
+        "entries",
+        [(0.1, -0.1), (0.5, -0.5), (True, False, -1), (Decimal("0.1"), Decimal("-0.1"))],
+        ids=["float", "exact-float", "bool", "decimal"],
+    )
+    def test_inexact_values_refused(self, entries):
+        with pytest.raises(InvalidInputError, match="is not an int, a Fraction or text"):
+            WeightVector(entries)
+
+    def test_ints_and_fractions_pass(self):
+        assert WeightVector((1, 0, -1)).entries == (1, 0, -1)
+        assert WeightVector((Fraction(1, 3), 0, Fraction(-1, 3))).format() == "1/3,0,-1/3"
+        assert all(type(e) is Fraction for e in WeightVector((1, Fraction(-1))).entries)
 
     def test_generic_flag(self):
         assert W("1,0,-1").is_generic
@@ -521,6 +537,43 @@ class TestSoundness:
         with pytest.raises(SoundnessFailureError, match="is not its class"):
             kernel_soundness((first, bad), lam, mu)
 
+    @pytest.mark.parametrize("mutation", ["ascent_runs", "one_coset_per_v"])
+    def test_a_wrong_grouping_fails(self, monkeypatch, mutation):
+        # kernel_generators built with the runs at ascents, or with one coset
+        # key for every gamma, hands one poly to gammas of different classes;
+        # soundness reads neither _y_runs nor _coset, so it must see that
+        if mutation == "ascent_runs":
+            def ascents(u):
+                inv = u.inverse().images
+                ends = [e for e in range(1, u.n) if inv[e - 1] > inv[e]]
+                return tuple(zip([0, *ends], [*ends, u.n]))
+
+            monkeypatch.setattr(kirwan, "_y_runs", ascents)
+        else:
+            monkeypatch.setattr(kirwan, "_coset", lambda runs, images: ())
+        lam, mu = W("3,1,-1,-3"), W("31/97,17/97,-11/97,-37/97")
+        gens = kernel_generators(lam, mu)
+        with pytest.raises(SoundnessFailureError, match="v=1,2,3,4 gamma=1,2,4,3 is not its class"):
+            kernel_soundness(gens, lam, mu)
+
+    def test_one_relabel_check_per_poly_and_per_sigma(self, monkeypatch):
+        # a full check for each poly object's first generator, then one check
+        # of G_{v^-1} per v and distinct g^-1 gamma, g the gamma it passed for
+        lam, mu = W("3,1,-1,-3"), W("31/97,17/97,-11/97,-37/97")
+        gens = kernel_generators(lam, mu)
+        first, sigmas = {}, set()
+        for gen in gens:
+            g = first.setdefault((gen.v, id(gen.poly)), gen.gamma)
+            if g != gen.gamma:
+                sigmas.add((gen.v, (g.inverse() * gen.gamma).images))
+        calls = []
+        real = kirwan._is_permute_y
+        monkeypatch.setattr(
+            kirwan, "_is_permute_y", lambda sigma, f, g: calls.append(1) or real(sigma, f, g)
+        )
+        kernel_soundness(gens, lam, mu)
+        assert len(calls) == len(first) + len(sigmas) < len(gens)
+
     @pytest.mark.parametrize(
         "lam, mu",
         [
@@ -577,11 +630,11 @@ class TestSoundness:
         gen, k, p = injection()
         base = grothendieck(gen.v.inverse())
         assert p not in support(base)
-        library_support = kirwan._class_support
+        library_support = kirwan._coset_support
         monkeypatch.setattr(
             kirwan,
-            "_class_support",
-            lambda u: library_support(u) | ({p} if u == gen.v.inverse() else set()),
+            "_coset_support",
+            lambda f: library_support(f) | ({p} if f == base else set()),
         )
         message = f"support point {gen.gamma * p} violates the k={k} inequality"
         with pytest.raises(SoundnessFailureError, match=message):
@@ -667,6 +720,93 @@ class TestSoundness:
                     assert eta_value(gen.gamma, k, moment_image(lam, z)) < eta_value(
                         gen.gamma, k, mu
                     )
+
+
+def reached_pairs(v):
+    """The v' whose class permute_y(gamma, G_{v'^-1}) has a nonzero coefficient
+    in permute_y(gamma, x_i^(+-1) * G_{v^-1}) for some i and any gamma: each
+    product is decomposed once in the identity basis, where the coefficient at
+    w belongs to the class of (w^-1, gamma) after relabelling by gamma."""
+    n = v.n
+    base, ident = grothendieck(v.inverse()), Permutation.identity(n)
+    found = set()
+    for i in range(n):
+        for e in (1, -1):
+            x = LaurentPoly.monomial(n, 1, xexp=tuple(e if j == i else 0 for j in range(n)))
+            coeffs = decompose(restrict_all(x * base), ident)
+            found |= {w.inverse() for w, c in coeffs.items() if not c.is_zero}
+    return found
+
+
+def closure_violations(checked, gens, reached):
+    """(v, gamma, v') for each coefficient of x_i^(+-1) times the class of a
+    checked (v, gamma, witnesses) that does not sit at a generator (v', gamma)
+    of gens holding every one of those witnesses."""
+    held = {(gen.v, gen.gamma): set(gen.witnesses) for gen in gens}
+    return [
+        (v, gamma, w)
+        for v, gamma, ks in checked
+        for w in sorted(reached[v], key=lambda p: p.images)
+        if (w, gamma) not in held or not set(ks) <= held[w, gamma]
+    ]
+
+
+class TestIdealClosure:
+    """The generators span an ideal: x_i^(+-1) times a generator of the
+    half-spaces (gamma, k), k its witnesses, is a combination of generators
+    of those half-spaces (ROADMAP item 11, its cheap form)."""
+
+    CASES = [("1,0,-1", "1/4,1/8,-3/8"), ("3,1,-1,-3", "31/97,17/97,-11/97,-37/97")]
+
+    @pytest.fixture(scope="class")
+    def closure_data(self):
+        data = {}
+        for lam, mu in self.CASES:
+            gens = kernel_generators(W(lam), W(mu))
+            reached = {v: reached_pairs(v) for v in dict.fromkeys(gen.v for gen in gens)}
+            data[W(lam).n] = gens, reached
+        return data
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_products_stay_in_the_half_spaces(self, closure_data, n):
+        gens, reached = closure_data[n]
+        checked = [(gen.v, gen.gamma, gen.witnesses) for gen in gens]
+        assert closure_violations(checked, gens, reached) == []
+        # not vacuous: products reach generators other than their own
+        assert any(len(r) > 1 for r in reached.values())
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_a_class_outside_the_kernel_fails(self, closure_data, n):
+        # its own coefficient sits at a pair that is not a generator
+        gens, reached = closure_data[n]
+        pairs = {(gen.v, gen.gamma) for gen in gens}
+        outside = [(v, gamma) for v in reached for gamma in all_permutations(n)
+                   if (v, gamma) not in pairs]
+        assert outside
+        for v, gamma in outside:
+            assert (v, gamma, v) in closure_violations([(v, gamma, ())], gens, reached)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_dropping_a_generator_below_another_fails(self, closure_data, n):
+        # drop (v, gamma) when a generator (v', gamma) has v'^-1 covering v^-1:
+        # the products of the others then reach the dropped pair, and only it
+        gens, reached = closure_data[n]
+        by_gamma = {}
+        for gen in gens:
+            by_gamma.setdefault(gen.gamma, []).append(gen.v.inverse())
+        dropped = [
+            gen for gen in gens
+            if any(bruhat_leq(gen.v.inverse(), u) and u.length() == gen.v.inverse().length() + 1
+                   for u in by_gamma[gen.gamma])
+        ]
+        if n == 4:
+            dropped = random.Random(111).sample(dropped, 24)
+        assert dropped
+        for gen in dropped:
+            rest = [other for other in gens if other is not gen]
+            checked = [(other.v, other.gamma, other.witnesses) for other in rest]
+            bad = closure_violations(checked, rest, reached)
+            assert bad and {(w, gamma) for _, gamma, w in bad} == {(gen.v, gen.gamma)}
 
 
 class TestPresentation:
