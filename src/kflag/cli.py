@@ -23,18 +23,11 @@ from .errors import (
     InternalInvariantError,
     InvalidInputError,
     KflagError,
-    LimitExceededError,
     NotDivisibleError,
     NotRegularError,
     SoundnessFailureError,
 )
-from .laurent import (
-    MAX_TERMS,
-    LaurentPoly,
-    poly_from_json,
-    render_poly,
-    write_json,
-)
+from .laurent import LaurentPoly, poly_from_json, render_poly, write_json
 from .perm import Permutation
 
 _CYCLE_HINT = (
@@ -117,15 +110,6 @@ def _cmd_groth(args) -> int:
 
 def _cmd_ddo(args) -> int:
     poly = poly_from_json(_read_json(args.poly, "polynomial file"))
-    if 1 <= args.i < poly.n:
-        # the closed formula of kflag.ddo writes |a - b| terms per input term
-        shift, lo = int(args.op == "pi"), args.i - 1
-        bound = sum(abs(key[lo] + shift - key[lo + 1]) for key in poly.terms)
-        if bound > MAX_TERMS:
-            raise LimitExceededError(
-                f"--op {args.op} --i {args.i} would write up to {bound} terms,"
-                f" over the term bound MAX_TERMS = {MAX_TERMS}"
-            )
     op = {"delta": delta, "pi": pi}[args.op]
     _print_poly(args, op(args.i, poly))
     return 0

@@ -54,7 +54,7 @@ from .errors import (
 )
 from .groth import grothendieck, permuted_grothendieck
 from .laurent import MAX_TERMS, LaurentPoly, _is_permute_y, canonical_zero_test
-from .perm import Permutation, all_permutations, bruhat_leq
+from .perm import Permutation, _check_rank, all_permutations, bruhat_leq
 
 #: Ceiling for the exhaustive support sweep.
 MAX_SWEEP_RANK = 5
@@ -358,8 +358,7 @@ def verify_support_theorem(n: int) -> SweepReport:
     left-multiplied by gamma: the relabelled interval, and on a failing pair
     the relabelled support and counterexamples, in lexicographic order of z.
     """
-    if n < 1:
-        raise InvalidInputError(f"rank must be positive, got {n}")
+    _check_rank(n)
     if n > MAX_SWEEP_RANK:
         raise LimitExceededError(f"rank {n} exceeds the sweep bound {MAX_SWEEP_RANK}")
     perms = list(all_permutations(n))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from .ddo import pi
 from .errors import InvalidInputError, LimitExceededError
 from .laurent import LaurentPoly, permute_y
-from .perm import Permutation
+from .perm import Permutation, _check_rank
 
 
 #: Ceiling for building classes: top(7) has 484,912 terms, top(8) does not fit in 2 GB.
@@ -32,8 +32,7 @@ def top(n: int) -> LaurentPoly:
     >>> str(top(2))
     '1 - y2*x1^-1'
     """
-    if not isinstance(n, int) or n < 1:
-        raise InvalidInputError(f"rank must be a positive integer, got {n!r}")
+    _check_rank(n)
     if n > MAX_CLASS_RANK:
         raise LimitExceededError(f"rank {n} exceeds the class bound {MAX_CLASS_RANK}")
     terms = {(0,) * (2 * n): 1}

@@ -49,7 +49,7 @@ from .laurent import (
     elementary_symmetric,
     polys_to_json,
 )
-from .perm import Permutation, act_on_weights, all_permutations
+from .perm import Permutation, _check_rank, act_on_weights, all_permutations
 
 
 #: Ceiling for the weight layer: is_regular's certificate can list up to
@@ -139,6 +139,7 @@ class WeightVector:
     @classmethod
     def staircase(cls, n: int) -> "WeightVector":
         """The strictly decreasing vector (n-1, n-3, ..., 1-n)."""
+        _check_rank(n)
         return cls(tuple(Fraction(n - 1 - 2 * i) for i in range(n)))
 
     @property
@@ -536,6 +537,7 @@ class Presentation:
 
 def det_relation(n: int) -> LaurentPoly:
     """y_1 * y_2 * ... * y_n - 1."""
+    _check_rank(n)
     return LaurentPoly(n, {(0,) * n + (1,) * n: 1}) - 1
 
 

@@ -18,11 +18,11 @@ from operator import add, eq, itemgetter
 from typing import Mapping, Sequence
 
 from .errors import InvalidInputError, LimitExceededError, NotDivisibleError
-from .perm import Permutation
+from .perm import Permutation, _check_rank
 
 #: Ceiling for the terms an operation may write: pi_1 on top(7) (484,912
 #: terms) writes 788,816 and peaks near 420 MB; 2,000,000 rank-2 terms peak
-#: near 940 MB. The CLI's ddo and gkm's binomial quotients check it.
+#: near 940 MB. ddo.pi (and so delta) and gkm's binomial quotients check it.
 MAX_TERMS = 1_000_000
 
 #: Ceiling for the decimal digits of a coefficient that poly_from_json reads.
@@ -45,8 +45,7 @@ class LaurentPoly:
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms: Mapping[tuple[int, ...], int] | None = None):
-        if not isinstance(n, int) or n < 1:
-            raise InvalidInputError(f"rank must be a positive integer, got {n!r}")
+        _check_rank(n)
         clean: dict[tuple[int, ...], int] = {}
         if terms:
             for key, coeff in terms.items():
@@ -78,6 +77,7 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, n: int, c: int) -> "LaurentPoly":
+        _check_rank(n)
         return cls(n, {(0,) * (2 * n): c})
 
     @classmethod
@@ -87,6 +87,7 @@ class LaurentPoly:
     @classmethod
     def x(cls, n: int, i: int) -> "LaurentPoly":
         """The variable x_i."""
+        _check_rank(n)
         if not 1 <= i <= n:
             raise InvalidInputError(f"x index {i} out of range for rank {n}")
         key = [0] * (2 * n)
@@ -96,6 +97,7 @@ class LaurentPoly:
     @classmethod
     def y(cls, n: int, i: int) -> "LaurentPoly":
         """The variable y_i."""
+        _check_rank(n)
         if not 1 <= i <= n:
             raise InvalidInputError(f"y index {i} out of range for rank {n}")
         key = [0] * (2 * n)
@@ -110,6 +112,7 @@ class LaurentPoly:
         xexp: Sequence[int] | None = None,
         yexp: Sequence[int] | None = None,
     ) -> "LaurentPoly":
+        _check_rank(n)
         xexp = tuple(xexp) if xexp is not None else (0,) * n
         yexp = tuple(yexp) if yexp is not None else (0,) * n
         if len(xexp) != n or len(yexp) != n:
@@ -227,6 +230,7 @@ def elementary_symmetric(i: int, block: str, n: int) -> LaurentPoly:
     """
     if block not in ("x", "y"):
         raise InvalidInputError(f"block must be 'x' or 'y', got {block!r}")
+    _check_rank(n)
     if not 1 <= i <= n:
         raise InvalidInputError(f"symmetric polynomial index {i} out of range for rank {n}")
     offset = 0 if block == "x" else n

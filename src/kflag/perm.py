@@ -24,6 +24,12 @@ ReducedWord = tuple[int, ...]
 _T = TypeVar("_T")
 
 
+def _check_rank(n: int) -> None:
+    """Refuse a rank that is not a positive int; a bool is not an int."""
+    if type(n) is not int or n < 1:
+        raise InvalidInputError(f"rank must be a positive integer, got {n!r}")
+
+
 @dataclass(frozen=True)
 class Permutation:
     """A permutation of {1..n}, stored as the image tuple (w(1), ..., w(n)).
@@ -43,16 +49,19 @@ class Permutation:
         images = tuple(self.images)
         object.__setattr__(self, "images", images)
         n = len(images)
-        if n < 1 or sorted(images) != list(range(1, n + 1)):
+        # a bool or a float equal to an image passes the sorted test
+        if n < 1 or sorted(images) != list(range(1, n + 1)) or {*map(type, images)} != {int}:
             raise InvalidInputError(f"not a permutation of 1..{n}: {images!r}")
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
+        _check_rank(n)
         return cls(tuple(range(1, n + 1)))
 
     @classmethod
     def simple(cls, n: int, i: int) -> "Permutation":
         """The adjacent transposition s_i swapping i and i+1."""
+        _check_rank(n)
         if not 1 <= i <= n - 1:
             raise InvalidInputError(f"simple reflection index {i} out of range for rank {n}")
         images = list(range(1, n + 1))
@@ -62,6 +71,7 @@ class Permutation:
     @classmethod
     def longest(cls, n: int) -> "Permutation":
         """The order-reversing permutation (n, n-1, ..., 1)."""
+        _check_rank(n)
         return cls(tuple(range(n, 0, -1)))
 
     @classmethod
@@ -202,8 +212,7 @@ def all_permutations(n: int) -> Iterator[Permutation]:
     >>> [p.images for p in all_permutations(2)]
     [(1, 2), (2, 1)]
     """
-    if n < 1:
-        raise InvalidInputError(f"rank must be positive, got {n}")
+    _check_rank(n)
     if n > MAX_ENUMERATION_RANK:
         raise LimitExceededError(f"rank {n} exceeds the enumeration bound {MAX_ENUMERATION_RANK}")
     return iter(_lex_permutations(n))

@@ -336,13 +336,18 @@ def grothendieck_by_pipe_dreams(n: int) -> dict[tuple[int, ...], dict[tuple[int,
                     moved = list(key)
                     moved[i - 1] -= 1
                     moved[n + j - 1] += 1
-                    moved = tuple(moved)
-                    target[key] = target.get(key, 0) - c
-                    target[moved] = target.get(moved, 0) + c
+                    # cancelled terms are dropped: they would double the states
+                    for k, d in ((key, -c), (tuple(moved), c)):
+                        s = target.get(k, 0) + d
+                        if s:
+                            target[k] = s
+                        else:
+                            del target[k]
             states = out
+    signs = {w: (-1) ** t_length(w) for w in states}
     return {
         tuple(n + 1 - v for v in w): {
-            key[:n] + key[n:][::-1]: (-1) ** t_length(w) * c for key, c in terms.items() if c
+            key[:n] + key[n:][::-1]: signs[w] * c for key, c in terms.items()
         }
         for w, terms in states.items()
     }

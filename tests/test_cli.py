@@ -14,12 +14,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kflag import cli, ddo, gkm, groth, kirwan
-from kflag.cli import MAX_TERMS, build_parser, main, restriction_class_from_json
+from kflag import ddo, gkm, groth, kirwan
+from kflag.cli import build_parser, main, restriction_class_from_json
 from kflag.errors import InvalidInputError, LimitExceededError
 from kflag.gkm import decompose, recompose, restrict_all
 from kflag.groth import top
-from kflag.laurent import LaurentPoly, poly_from_json, poly_to_json, polys_to_json, render_poly
+from kflag.laurent import (
+    MAX_TERMS,
+    LaurentPoly,
+    poly_from_json,
+    poly_to_json,
+    polys_to_json,
+    render_poly,
+)
 from kflag.perm import Permutation
 
 from oracles import restriction_class_to_json
@@ -192,7 +199,7 @@ class TestDdoPipe:
 
 class TestDdoTermBound:
     """An operator that would write more than MAX_TERMS terms is refused before
-    it expands anything, with exit 2 and the bound named."""
+    it expands the term that passes the bound, with exit 2 and the bound named."""
 
     @staticmethod
     def monomial_file(tmp_path, x):
@@ -201,9 +208,8 @@ class TestDdoTermBound:
         return str(poly_file)
 
     @pytest.mark.parametrize("op", ["pi", "delta"])
-    def test_oversized_output_exits_2(self, capsys, monkeypatch, tmp_path, op):
+    def test_oversized_output_exits_2(self, capsys, tmp_path, op):
         # pi_1 on x1^(10^9) writes 10^9 + 1 terms, delta_1 10^9
-        monkeypatch.setattr(ddo, "_divided_difference", _never)
         poly_file = self.monomial_file(tmp_path, [10**9, 0])
         start = time.perf_counter()
         code, out, err = run(capsys, "ddo", "--op", op, "--i", "1", "--poly", poly_file)
@@ -230,12 +236,13 @@ class TestDdoTermBound:
         ],
     )
     def test_the_bound_counts_written_terms(self, capsys, monkeypatch, tmp_path, x, op, expected):
-        monkeypatch.setattr(cli, "MAX_TERMS", 1000)
+        monkeypatch.setattr(ddo, "MAX_TERMS", 1000)
         poly_file = self.monomial_file(tmp_path, x)
         code, out, err = run(capsys, "ddo", "--op", op, "--i", "1", "--poly", poly_file)
         assert code == expected
         if expected:
-            assert out == "" and "would write up to 1001 terms" in err
+            assert out == "" and "would write at least 1001 terms" in err
+            assert "over the term bound MAX_TERMS = 1000" in err
 
 
 class TestRestrictAndSupport:
@@ -775,6 +782,7 @@ class TestCoefficientDigitBound:
 
 # the two JSON file inputs, each argv ending before the file path
 POLY_ARGV = ["ddo", "--op", "pi", "--i", "1", "--poly"]
+DELTA_ARGV = ["ddo", "--op", "delta", "--i", "1", "--poly"]
 CLASS_ARGV = ["decompose", "--n", "2", "--gamma", "1,2", "--class"]
 FILE_INPUTS = [
     pytest.param(POLY_ARGV, "polynomial file", id="poly"),
@@ -852,8 +860,6 @@ class TestClosedStdout:
         assert (proc.wait(timeout=60), err) == (141, b"")
 
 
-# small values only: the class table has no term budget, so pi on x1^(10^9)
-# would try to allocate 10^9 terms
 _WORDS = st.sampled_from(["n", "entries", "z", "poly", "x", "y", "coeff", "1", "-1", "2,1"])
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | _WORDS | st.text(max_size=3),
@@ -862,7 +868,10 @@ _JSON_VALUES = st.recursive(
     max_leaves=12,
 )
 # near-valid term lists and class objects reach past the shape checks
-_EXPONENTS = st.lists(st.integers(-3, 3), min_size=2, max_size=2)
+# exponents of 10^9 reach the term bound of pi and delta
+_EXPONENTS = st.lists(
+    st.integers(-3, 3) | st.sampled_from([-(10**9), 10**9]), min_size=2, max_size=2
+)
 _TERMS = st.lists(
     st.fixed_dictionaries({
         "coeff": st.sampled_from(["1", "-2", "0"]) | _JSON_VALUES,
@@ -889,7 +898,9 @@ def fuzz_path(tmp_path_factory):
 
 
 @pytest.mark.parametrize(
-    "argv, near_valid", [(POLY_ARGV, _TERMS), (CLASS_ARGV, _CLASSES)], ids=["poly", "class"]
+    "argv, near_valid",
+    [(POLY_ARGV, _TERMS), (DELTA_ARGV, _TERMS), (CLASS_ARGV, _CLASSES)],
+    ids=["poly", "delta", "class"],
 )
 @settings(max_examples=50, derandomize=True, deadline=None, database=None)
 @given(data=st.data())

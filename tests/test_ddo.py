@@ -1,11 +1,12 @@
 import random
+import time
 
 import pytest
 
-from kflag import groth
+from kflag import ddo, groth
 from kflag.ddo import delta, pi
-from kflag.errors import InvalidInputError
-from kflag.laurent import LaurentPoly
+from kflag.errors import InvalidInputError, LimitExceededError
+from kflag.laurent import MAX_TERMS, LaurentPoly
 from kflag.perm import Permutation, all_permutations
 
 from oracles import (
@@ -60,6 +61,9 @@ class TestDelta:
             delta(2, xv(2, 1))
         with pytest.raises(InvalidInputError):
             delta(0, xv(2, 1))
+        # past the key: delta checks i before it lowers the x_i exponents
+        with pytest.raises(InvalidInputError):
+            delta(7, xv(2, 1))
 
     def test_output_symmetric_in_adjacent_pair(self):
         rng = random.Random(41)
@@ -229,6 +233,56 @@ class TestFixedSummand:
                     if reach[k] <= 2:
                         assert stored[k] is k
         assert (fixed, shared) == (5145, 5128)
+
+
+class TestTermBound:
+    """pi and delta refuse exactly when the closed formula would write more than
+    MAX_TERMS summands, sum |alpha_i + s - alpha_{i+1}| with s = 1 for pi and
+    s = 0 for delta, and refuse before they expand the term that passes it."""
+
+    @staticmethod
+    def written(i, f, shift):
+        return sum(abs(key[i - 1] + shift - key[i]) for key in f.terms)
+
+    @pytest.mark.parametrize("op", [pi, delta], ids=["pi", "delta"])
+    def test_huge_power_refused_at_once(self, op):
+        f = LaurentPoly.monomial(2, 1, (10**9, 0))
+        start = time.perf_counter()
+        with pytest.raises(LimitExceededError, match=f"term bound MAX_TERMS = {MAX_TERMS}$"):
+            op(1, f)
+        assert time.perf_counter() - start < 1
+
+    def test_terms_pass_the_bound_only_together(self, monkeypatch):
+        # each x1^2 * y1^j writes 3 summands under pi_1, the four write 12
+        n = 2
+        f = sum(LaurentPoly.monomial(n, 1, (2, 0), (j, 0)) for j in range(4))
+        monkeypatch.setattr(ddo, "MAX_TERMS", 11)
+        with pytest.raises(LimitExceededError, match="at least 12 terms"):
+            pi(1, f)
+        monkeypatch.setattr(ddo, "MAX_TERMS", 12)
+        assert pi(1, f).terms == pi_by_division(1, f).terms
+
+    def test_fixed_summands_alone_pass_the_bound(self, monkeypatch):
+        # x1^k * x2^k is its own image under pi_1: only fixed summands
+        n = 2
+        f = sum(LaurentPoly.monomial(n, 1, (k, k)) for k in range(4))
+        monkeypatch.setattr(ddo, "MAX_TERMS", 3)
+        with pytest.raises(LimitExceededError, match="at least 4 terms"):
+            pi(1, f)
+        monkeypatch.setattr(ddo, "MAX_TERMS", 4)
+        assert pi(1, f) == f
+
+    def test_refuses_exactly_past_the_count(self, monkeypatch):
+        for n, f in TestOperatorLaws.CORPUS:
+            for i in range(1, n):
+                for op, shift in ((pi, 1), (delta, 0)):
+                    count = self.written(i, f, shift)
+                    monkeypatch.setattr(ddo, "MAX_TERMS", count)
+                    out = op(i, f).terms
+                    assert out == divided_difference_by_terms(i, f, shift).terms
+                    monkeypatch.setattr(ddo, "MAX_TERMS", count - 1)
+                    with pytest.raises(LimitExceededError):
+                        op(i, f)
 
 
 class TestPiWord:

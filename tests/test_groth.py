@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -6,7 +7,7 @@ from kflag import groth
 from kflag.ddo import pi
 from kflag.gkm import restrict
 from kflag.laurent import LaurentPoly, canonical_zero_test, exact_div, permute_y
-from kflag.errors import NotDivisibleError
+from kflag.errors import InvalidInputError, NotDivisibleError
 from kflag.perm import Permutation, all_permutations
 
 from oracles import grothendieck_by_pipe_dreams, permuted_grothendieck_by_word, top_by_subsets
@@ -22,6 +23,11 @@ def top_factor(n, i, j):
 
 
 class TestTop:
+    @pytest.mark.parametrize("n", [True, 2.0, Fraction(2)], ids=repr)
+    def test_rank_must_be_an_int(self, n):
+        with pytest.raises(InvalidInputError, match="rank must be a positive integer"):
+            groth.top(n)
+
     def test_rank_one_is_empty_product(self):
         assert groth.top(1) == 1
 
@@ -58,7 +64,7 @@ class TestGrothendieck:
         second = {w: groth.grothendieck(w) for w in all_permutations(3)}
         assert first == second
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
     def test_every_class_matches_pipe_dreams(self, n):
         dreams = grothendieck_by_pipe_dreams(n)
         assert len(dreams) == math.factorial(n)

@@ -159,6 +159,12 @@ class TestWeightVector:
         assert lam.entries == (3, 1, -1, -3)
         assert lam.is_generic
 
+    @pytest.mark.parametrize("n", [True, 2.0, Fraction(2)], ids=repr)
+    def test_rank_must_be_an_int(self, n):
+        for build in (WeightVector.staircase, det_relation):
+            with pytest.raises(InvalidInputError, match="rank must be a positive integer"):
+                build(n)
+
 
 class TestMomentImage:
     def test_identity(self):

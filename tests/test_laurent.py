@@ -2,6 +2,7 @@ import io
 import json
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -70,6 +71,21 @@ class TestBasics:
         # poly_to_json would write them as true/false, which poly_from_json refuses
         with pytest.raises(InvalidInputError):
             LaurentPoly(1, {(True, 0): 1})
+
+    @pytest.mark.parametrize("n", [True, 2.0, Fraction(2)], ids=repr)
+    def test_rank_must_be_an_int(self, n):
+        builds = [
+            lambda: LaurentPoly(n, {(1, 0): 1}),
+            lambda: LaurentPoly.zero(n),
+            lambda: LaurentPoly.one(n),
+            lambda: LaurentPoly.x(n, 1),
+            lambda: LaurentPoly.y(n, 1),
+            lambda: LaurentPoly.monomial(n, 1),
+            lambda: elementary_symmetric(1, "x", n),
+        ]
+        for build in builds:
+            with pytest.raises(InvalidInputError, match="rank must be a positive integer"):
+                build()
 
     def test_boolean_coefficients_refused(self):
         # poly_to_json would write "True", which poly_from_json refuses

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -27,6 +28,25 @@ class TestConstruction:
         for bad in [(1, 1), (0, 1), (2, 3), ()]:
             with pytest.raises(InvalidInputError):
                 Permutation(bad)
+
+    @pytest.mark.parametrize(
+        "images",
+        [(True, 2), (2, True), (2.0, 1.0), (1, 2.0), (Fraction(2), 1), (True,)],
+        ids=["bool-first", "bool-second", "floats", "one-float", "fraction", "bool-rank-one"],
+    )
+    def test_rejects_images_that_are_not_ints(self, images):
+        # each compares equal to a permutation of 1..n
+        assert sorted(images) == list(range(1, len(images) + 1))
+        with pytest.raises(InvalidInputError, match="not a permutation"):
+            Permutation(images)
+
+    @pytest.mark.parametrize("n", [True, False, 2.0, Fraction(3)], ids=repr)
+    def test_rank_must_be_an_int(self, n):
+        for build in (Permutation.identity, Permutation.longest, all_permutations):
+            with pytest.raises(InvalidInputError, match="rank must be a positive integer"):
+                build(n)
+        with pytest.raises(InvalidInputError, match="rank must be a positive integer"):
+            Permutation.simple(n, 1)
 
     def test_from_one_line(self):
         assert Permutation.from_one_line("2,3,1") == P(2, 3, 1)
