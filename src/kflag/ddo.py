@@ -14,11 +14,12 @@ which holds for negative exponents too. For a >= b the k = a summand is
 the term itself, its fixed summand. The fixed summands go into the output
 first, each at its term's own key tuple, and only the summands
 k = b .. a - 1 are built. Assigning to a key already in a dict keeps the
-stored tuple, so a class and the class pi_i makes from it share the tuple
-of each surviving fixed summand, unless other summands cancel it to zero
-and later ones bring it back (at rank 5, 17 of the 5,145 along the cached
-steps). The terms and their integer sums are those of the formula; only
-the dict order differs from building every summand.
+stored tuple. Given a pool (``groth`` passes its key pool, which maps each
+key of the cached classes to itself), a built summand new to the output,
+also a fixed key that cancelled and comes back, is stored as the pool's
+tuple, so the cached classes keep each monomial as one shared tuple. The
+terms and their integer sums are those of the formula; only the dict order
+differs from building every summand.
 
 ``pi`` writes sum |alpha_i + 1 - alpha_{i+1}| summands and refuses more
 than ``MAX_TERMS``: it counts the fixed summands, then each term's others
@@ -59,8 +60,12 @@ def delta(i: int, f: LaurentPoly) -> LaurentPoly:
     return pi(i, LaurentPoly._raw(f.n, lowered))
 
 
-def pi(i: int, f: LaurentPoly) -> LaurentPoly:
+def pi(
+    i: int, f: LaurentPoly, pool: dict[tuple[int, ...], tuple[int, ...]] | None = None
+) -> LaurentPoly:
     """Isobaric divided difference: delta(i, x_i * f), by the closed formula. Idempotent.
+
+    A summand key new to the output is stored as ``pool.setdefault(key, key)``.
 
     >>> str(pi(1, LaurentPoly.monomial(2, 1, (0, -1))))
     'x2^-1 + x1^-1'
@@ -74,6 +79,8 @@ def pi(i: int, f: LaurentPoly) -> LaurentPoly:
     if written > MAX_TERMS:
         _refuse(i, written)
     get = out.get
+    # an empty dict's get hands every key back: no pool, no interning
+    intern = {}.get if pool is None else pool.setdefault
     for key, c in terms.items():
         a, b = key[lo], key[i]
         if a > b:
@@ -89,9 +96,13 @@ def pi(i: int, f: LaurentPoly) -> LaurentPoly:
         head, tail = key[:lo], key[i + 1:]
         for k in range(start, stop):
             nk = head + (k, total - k) + tail
-            s = get(nk, 0) + c
-            if s:
-                out[nk] = s
+            s = get(nk)
+            if s is None:
+                out[intern(nk, nk)] = c
             else:
-                del out[nk]
+                s += c
+                if s:
+                    out[nk] = s
+                else:
+                    del out[nk]
     return LaurentPoly._raw(f.n, out)

@@ -10,6 +10,13 @@ rank. The cache is filled along canonical reduced words, so exhaustive
 sweeps over S_n share every intermediate operator application; permuted
 classes are never stored, they are y-relabelings of cached plain classes.
 Cached values are treated as immutable.
+
+Every monomial of every G_w in S_n is a monomial of top(n) (the pipe-dream
+formula of Fomin-Kirillov and Knutson-Miller). A key pool beside the cache
+maps each key tuple of the cached classes to itself: top(n) seeds it when it
+enters the cache, and ``pi`` stores each key it adds to a class as the
+pool's tuple. So a full S_n table holds one tuple per monomial of top(n)
+(15,944 at rank 6). ``clear_cache`` clears the cache and the pool together.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from .perm import Permutation, _check_rank
 MAX_CLASS_RANK = 7
 
 _CACHE: dict[tuple[int, ...], LaurentPoly] = {}
+_KEY_POOL: dict[tuple[int, ...], tuple[int, ...]] = {}
 
 
 def top(n: int) -> LaurentPoly:
@@ -64,10 +72,11 @@ def grothendieck(w: Permutation) -> LaurentPoly:
     a = next((i for i in range(1, w.n) if images[i - 1] > images[i]), None)
     if a is None:
         value = top(w.n)
+        _KEY_POOL.update(zip(value.terms, value.terms))
     else:
         # peeling the smallest right descent follows the canonical reduced
         # word of w^{-1}, so cached and word-built values agree bit-exactly
-        value = pi(a, grothendieck(w * Permutation.simple(w.n, a)))
+        value = pi(a, grothendieck(w * Permutation.simple(w.n, a)), _KEY_POOL)
     _CACHE[images] = value
     return value
 
@@ -89,3 +98,4 @@ def permuted_grothendieck(w: Permutation, gamma: Permutation) -> LaurentPoly:
 
 def clear_cache() -> None:
     _CACHE.clear()
+    _KEY_POOL.clear()

@@ -22,7 +22,8 @@ from .perm import Permutation, _check_rank
 
 #: Ceiling for the terms an operation may write: pi_1 on top(7) (484,912
 #: terms) writes 788,816 and peaks near 420 MB; 2,000,000 rank-2 terms peak
-#: near 940 MB. ddo.pi (and so delta) and gkm's binomial quotients check it.
+#: near 940 MB. ddo.pi (and so delta), LaurentPoly.__mul__ and gkm's
+#: binomial quotients check it.
 MAX_TERMS = 1_000_000
 
 #: Ceiling for the decimal digits of a coefficient that poly_from_json reads.
@@ -181,6 +182,12 @@ class LaurentPoly:
         a, b = self.terms, other.terms
         if len(a) < len(b):
             a, b = b, a
+        summands = len(a) * len(b)
+        if summands > MAX_TERMS:
+            raise LimitExceededError(
+                f"a product of {len(a)} by {len(b)} terms would write {summands} summands,"
+                f" an upper bound on its size, over the term bound MAX_TERMS = {MAX_TERMS}"
+            )
         out: dict[tuple[int, ...], int] = {}
         get = out.get
         for k2, c2 in b.items():

@@ -64,6 +64,23 @@ class TestGrothendieck:
         second = {w: groth.grothendieck(w) for w in all_permutations(3)}
         assert first == second
 
+    @pytest.mark.parametrize("n, monomials", [(1, 1), (2, 2), (3, 8), (4, 60), (5, 776)])
+    def test_cold_table_holds_one_pooled_tuple_per_top_monomial(self, n, monomials):
+        groth.clear_cache()
+        table = {w: groth.grothendieck(w) for w in all_permutations(n)}
+        pool = groth._KEY_POOL
+        keys = {id(k): k for f in table.values() for k in f.terms}
+        assert len(keys) == len(groth.top(n).terms) == monomials
+        assert all(pool.get(k) is k for k in keys.values())
+        # each cached step is pi without the pool along the same word
+        for w, f in table.items():
+            a = next((i for i in range(1, n) if w.images[i - 1] > w.images[i]), None)
+            if a is not None:
+                plain = pi(a, table[w * Permutation.simple(n, a)])
+                assert list(f.terms.items()) == list(plain.terms.items())
+        groth.clear_cache()
+        assert not pool
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
     def test_every_class_matches_pipe_dreams(self, n):
         dreams = grothendieck_by_pipe_dreams(n)

@@ -2,14 +2,17 @@ import io
 import json
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kflag.errors import InvalidInputError, NotDivisibleError
+from kflag import laurent
+from kflag.errors import InvalidInputError, LimitExceededError, NotDivisibleError
 from kflag.laurent import (
+    MAX_TERMS,
     LaurentPoly,
     _is_permute_y,
     canonical_zero_test,
@@ -121,6 +124,36 @@ class TestBasics:
             xs, ys = random_point(rng, n)
             assert eval_poly(f * g, xs, ys) == eval_poly(f, xs, ys) * eval_poly(g, xs, ys)
             assert eval_poly(f + g, xs, ys) == eval_poly(f, xs, ys) + eval_poly(g, xs, ys)
+
+
+class TestProductBound:
+    """A product refuses when len(a) * len(b), an upper bound on its size,
+    passes MAX_TERMS, before it multiplies anything."""
+
+    @staticmethod
+    def powers(count, shift=0):
+        return LaurentPoly._raw(1, {(k, shift): 1 for k in range(count)})
+
+    def test_oversized_product_refused_at_once(self):
+        f, g = self.powers(1001), self.powers(1000, 1)
+        start = time.perf_counter()
+        for a, b in ((f, g), (g, f)):
+            with pytest.raises(
+                LimitExceededError,
+                match=rf"1001 by 1000 terms would write 1001000 summands, an upper bound"
+                rf" on its size, over the term bound MAX_TERMS = {MAX_TERMS}$",
+            ):
+                a * b
+        assert time.perf_counter() - start < 1
+
+    def test_product_at_the_bound_passes(self, monkeypatch):
+        f, g = self.powers(3), self.powers(4, 1)
+        monkeypatch.setattr(laurent, "MAX_TERMS", 11)
+        with pytest.raises(LimitExceededError, match="4 by 3 terms"):
+            f * g
+        monkeypatch.setattr(laurent, "MAX_TERMS", 12)
+        # x^0..x^2 times y x^0..x^3: the sums collide, 6 distinct terms
+        assert f * g == LaurentPoly._raw(1, {(k, 1): min(k + 1, 3, 6 - k) for k in range(6)})
 
 
 class TestPermute:
