@@ -57,6 +57,7 @@ from .kirwan import (
     KernelGenerator,
     Presentation,
     WeightVector,
+    cover_monotonicity,
     eta_value,
     half_space_soundness,
     is_regular,

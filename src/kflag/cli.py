@@ -179,6 +179,8 @@ def _cmd_kernel(args) -> int:
     lam, mu = _parse_weights(args)
     gens = kirwan.kernel_generators(lam, mu)
     if args.check:
+        # completeness first: it reads lam alone
+        kirwan.cover_monotonicity(lam)
         kirwan.kernel_soundness(gens, lam, mu)
     if args.json:
         _emit_json(map(kirwan.KernelGenerator.json_tree, gens))
@@ -303,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("regular", "wall-avoidance check for a reduction level", _cmd_regular, *weights)
     add(
         "kernel", "kernel generators for a regular reduction level", _cmd_kernel, *weights,
-        ("--check", {"action": "store_true", "help": "run soundness certificates"}),
+        ("--check", {"action": "store_true", "help": "certify soundness and cover monotonicity"}),
     )
     add(
         "presentation", "assembled generators-and-relations presentation (JSON)",

@@ -27,9 +27,10 @@ support(f) tests each point. ``restrict(f, z)`` at one point is the oracle.
 The sweep and kernel soundness read the support of a plain class G_u
 through _coset_support(G_u), which takes any polynomial f and walks one
 point per coset of its y-symmetries. It reads them off f: slots j - 1 and
-j share a run [a, b) when swapping y_j, y_{j+1} fixes f (one relabel check
-per j). Then f is symmetric in the y-variables of each run, so z and z
-with two of the values a + 1, ..., b swapped lie in the support together.
+j share a run [a, b) when swapping y_j, y_{j+1} fixes f (one swap check
+per j, which looks up only the terms the swap moves). Then f is symmetric
+in the y-variables of each run, so z and z with two of the values
+a + 1, ..., b swapped lie in the support together.
 The walk places each of a + 2, ..., b (the tied values) only after the
 value below it, decides each node where it stops by one zero test, and
 expands each point found by every order of the values of each run.
@@ -53,7 +54,7 @@ from .errors import (
     NotInSpanError,
 )
 from .groth import grothendieck, permuted_grothendieck
-from .laurent import MAX_TERMS, LaurentPoly, _is_permute_y, canonical_zero_test
+from .laurent import MAX_TERMS, LaurentPoly, _swap_fixes, canonical_zero_test
 from .perm import Permutation, _check_rank, all_permutations, bruhat_leq
 
 #: Ceiling for the exhaustive support sweep.
@@ -256,7 +257,7 @@ def _coset_support(f: LaurentPoly) -> SupportSet:
     """supp(f) as Permutations of all_permutations(n), walking one point per
     coset of f's y-symmetries: y_j, y_{j+1} share a run when swapping them fixes f."""
     n = f.n
-    ends = [j for j in range(1, n) if not _is_permute_y(Permutation.simple(n, j), f, f)]
+    ends = [j for j in range(1, n) if not _swap_fixes(j, f)]
     runs = list(zip([0, *ends], [*ends, n]))
     tied = frozenset(j for a, b in runs for j in range(a + 2, b + 1))
     # one map of values (indexed by value) per way of permuting the values

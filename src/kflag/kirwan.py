@@ -23,6 +23,10 @@ relabelled key once, so its generators share their key tuples: at rank 5
 the 105 base classes hold 776 distinct keys over 120 x parts and 120 y
 parts, and the 11,520 generators hold 3,195 distinct polynomials with
 455,751 terms (1.09 M counted per generator) over 9,366 distinct keys.
+
+Soundness is one half of the kernel theorem. cover_monotonicity certifies
+the lemma behind the other half, completeness: the lam tails over u^-1 never
+decrease along a Bruhat cover, so every half-space is a lower set.
 """
 
 from __future__ import annotations
@@ -347,11 +351,13 @@ def kernel_generators(lam: WeightVector, mu: WeightVector) -> tuple[KernelGenera
     # loops hash no Permutation
     rows = []
     bases: dict[int, LaurentPoly] = {}
+    # generators with equal witnesses share one tuple (at most 2^(n-1) - 1)
+    witnesses: dict[tuple[int, ...], tuple[int, ...]] = {}
     for i, lam_t in enumerate(lam_tails):
         for j, mu_t in enumerate(mu_tails):
             ks = tuple(compress(cuts, map(lt, lam_t, mu_t)))
             if ks:
-                rows.append((i, j, ks))
+                rows.append((i, j, witnesses.setdefault(ks, ks)))
         if rows and rows[-1][0] == i:
             # pi_v of the top class is the plain class of v^{-1}; the
             # operators commute with the y-relabeling by gamma
@@ -502,6 +508,50 @@ def half_space_soundness(
     """kernel_soundness of one generator, via supp(permute_y(gamma, f)) = gamma * supp(f);
     it certifies gen.poly only as the class of (v, gamma)."""
     return kernel_soundness((gen,), lam, mu)[0]
+
+
+def cover_monotonicity(lam: WeightVector) -> tuple[tuple[Permutation, Permutation], ...]:
+    """Certify that along every Bruhat cover u < u' of S_n, at every cut k,
+    the lam tail sum over u^-1 does not exceed the one over u'^-1; return
+    the covers checked, u in lexicographic order, then by positions (a, b).
+
+    This is the completeness half of the kernel theorem: at z = gamma * p
+    the lam side of eta_k^gamma is the lam tail over p^-1, so the fixed
+    points of every half-space {eta_k^gamma < eta_k^gamma(mu)} form a lower
+    set of <=_gamma, for every gamma and mu. With the support theorem,
+    decompose's triangular solve then puts every class supported in that
+    half-space in the span of the generators of (gamma, k). u' = u * t_ab
+    covers u when u(a) < u(b) and no position between a and b holds a value
+    between them. The tails are the integers of _scaled; a failure raises
+    SoundnessFailureError naming u, u' and k.
+    """
+    lam.require_generic()
+    n = lam.n
+    perms = list(all_permutations(n))
+    position = {p.images: i for i, p in enumerate(perms)}
+    d, lam_ints, _ = _scaled(lam, lam)
+    tails = _tail_sums(lam_ints, [p.inverse() for p in perms])
+    covers = []
+    for u, lower in zip(perms, tails):
+        images = u.images
+        for a in range(n - 1):
+            # the least value above u(a) seen so far between a and b
+            least = n + 1
+            for b in range(a + 1, n):
+                if images[a] < images[b] < least:
+                    least = images[b]
+                    upper = list(images)
+                    upper[a], upper[b] = images[b], images[a]
+                    i = position[tuple(upper)]
+                    for k, lo, hi in zip(count(1), lower, tails[i]):
+                        if lo > hi:
+                            raise SoundnessFailureError(
+                                f"Bruhat cover {u} < {perms[i]} breaks the k={k} lower set:"
+                                f" lam tail {Fraction(lo, d)} over u^-1 exceeds"
+                                f" {Fraction(hi, d)} over u'^-1"
+                            )
+                    covers.append((u, perms[i]))
+    return tuple(covers)
 
 
 # -- the assembled presentation --------------------------------------------------------

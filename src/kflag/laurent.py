@@ -286,6 +286,16 @@ def _is_permute_y(sigma: Permutation, f: LaurentPoly, g: LaurentPoly) -> bool:
     )
 
 
+def _swap_fixes(j: int, f: LaurentPoly) -> bool:
+    """Whether swapping y_j and y_{j+1} fixes f, as _is_permute_y(s_j, f, f)
+    decides it: a term whose y_j and y_{j+1} exponents are equal maps to
+    itself, so only the other terms are looked up (up to the first miss)."""
+    lo = f.n + j - 1
+    terms = f.terms
+    swap = _slot_getter(Permutation.simple(f.n, j))
+    return all(terms.get(swap(k)) == c for k, c in terms.items() if k[lo] != k[lo + 1])
+
+
 # -- exact division -----------------------------------------------------------
 
 

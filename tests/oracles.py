@@ -24,6 +24,7 @@ per base class and cut.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -514,3 +515,13 @@ def restriction_class_to_json(alpha) -> dict:
             for z in sorted(alpha.entries, key=lambda p: p.images)
         ],
     })
+
+
+class Sha256Sink:
+    """A text sink that keeps only the sha256 of what is written to it."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.digest.update(text.encode())

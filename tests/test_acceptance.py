@@ -5,7 +5,6 @@ comparisons are exact, and the stated wall-clock budgets are asserted.
 """
 
 import contextlib
-import hashlib
 import random
 import time
 from fractions import Fraction
@@ -22,6 +21,7 @@ from kflag.laurent import LaurentPoly, write_json
 from kflag.perm import Permutation, all_permutations, permuted_bruhat_leq
 
 from oracles import (
+    Sha256Sink,
     all_reduced_words,
     apply_pi_word,
     permute_x_by_terms,
@@ -103,11 +103,9 @@ def test_criterion_4_exhaustive_sweep_n3_n4():
 
 
 @pytest.mark.slow
-def test_criterion_4_exhaustive_sweep_n5():
+def test_criterion_4_exhaustive_sweep_n5(rank5_sweep):
     with criterion(4, "support sweep: 14400 pairs < 30 min, all pass"):
-        t0 = time.perf_counter()
-        report = verify_support_theorem(5)
-        elapsed = time.perf_counter() - t0
+        report, elapsed = rank5_sweep
         assert len(report.checks) == 14400
         assert report.all_passed
         assert elapsed < 1800.0
@@ -273,23 +271,12 @@ def test_criterion_11_determinism(capsys):
         assert kernel == (TESTDATA / "kernel_n3_golden.json").read_text()
 
 
-class _Sha256Sink:
-    """A text sink that keeps only the sha256 of what is written to it."""
-
-    def __init__(self):
-        self.digest = hashlib.sha256()
-
-    def write(self, text):
-        self.digest.update(text.encode())
-
-
 @pytest.mark.slow
-def test_criterion_11_determinism_rank5():
+def test_criterion_11_determinism_rank5(rank5_verify_json_sha256):
     with criterion(11, "rank-5 sweep bytes are the same on a repeated call"):
-        digests = []
-        for _ in range(2):
-            # the bytes that verify --n 5 --json writes, before its final newline
-            sink = _Sha256Sink()
-            write_json(map(PairCheck.to_json_obj, verify_support_theorem(5).checks), sink)
-            digests.append(sink.digest.hexdigest())
-        assert digests[0] == digests[1]
+        # a second sweep, written as verify --n 5 --json writes it, against
+        # the command's stdout for the session's first sweep
+        sink = Sha256Sink()
+        write_json(map(PairCheck.to_json_obj, verify_support_theorem(5).checks), sink)
+        sink.write("\n")
+        assert sink.digest.hexdigest() == rank5_verify_json_sha256

@@ -546,7 +546,7 @@ class TestWeightCommands:
         ]
 
     @pytest.mark.slow
-    def test_rank_five_kernel_text_is_pinned(self, capsys):
+    def test_rank_five_kernel_text_is_pinned(self, capsys, shared_rank5_kernel):
         # 31,067,472 bytes; 3,195 distinct polys among 11,520 generators
         code, out, _ = run(
             capsys, "kernel", "--lambda", "4,2,0,-2,-4", "--mu", "31/97,17/97,5/97,-11/97,-42/97"

@@ -28,6 +28,8 @@ from kflag.groth import grothendieck, permuted_grothendieck, top
 from kflag.kirwan import _y_runs
 from kflag.laurent import (
     LaurentPoly,
+    _is_permute_y,
+    _swap_fixes,
     canonical_zero_test,
     elementary_symmetric,
 )
@@ -339,7 +341,7 @@ class TestWeightJsonBytes:
         )
 
     @pytest.mark.slow
-    def test_rank_five_presentation(self, tmp_path):
+    def test_rank_five_presentation(self, tmp_path, shared_rank5_kernel):
         # through --out: 280 MB captured from stdout would be held in memory
         target = tmp_path / "pres.json"
         weights = ["--lambda", "4,2,0,-2,-4", "--mu", "31/97,17/97,5/97,-11/97,-42/97"]
@@ -397,8 +399,8 @@ class TestVerifySweep:
         assert _verify_json_sha256(capsys, 4) == VERIFY_JSON_SHA256[4]
 
     @pytest.mark.slow
-    def test_rank_five_json_bytes_are_pinned(self, capsys):
-        assert _verify_json_sha256(capsys, 5) == VERIFY_JSON_SHA256[5]
+    def test_rank_five_json_bytes_are_pinned(self, rank5_verify_json_sha256):
+        assert rank5_verify_json_sha256 == VERIFY_JSON_SHA256[5]
 
     def test_rank_four_json_is_written_pair_by_pair(self, capsys, monkeypatch):
         # verify --json writes one pair's tree at a time, never the whole report's
@@ -862,6 +864,22 @@ def assert_coset_support_matches(f):
     assert gkm._coset_support(f) == support(f), f
 
 
+def seeded_polynomials(n):
+    """20 seeded (f, g, run) triples: f a random polynomial, g symmetric in
+    the y-variables of the run [a, b), from f's y-exponents outside the run
+    times e_k of the run."""
+    rng = random.Random(240 + n)
+    for _ in range(20):
+        f = random_laurent(rng, n)
+        a = rng.randrange(n - 1)
+        b = rng.randint(a + 2, n)
+        outside = LaurentPoly(n, {})
+        for key, c in f.terms.items():
+            yexp = tuple(0 if a <= j < b else e for j, e in enumerate(key[n:]))
+            outside = outside + LaurentPoly.monomial(n, c, xexp=key[:n], yexp=yexp)
+        yield f, outside * e_of_run(rng.randint(1, b - a), n, a, b), (a, b)
+
+
 class TestClassSupport:
     """gkm._coset_support(f), over the cosets of the y-symmetries found in f,
     against support(f), the walk over every point: classes and other polynomials."""
@@ -914,21 +932,25 @@ class TestClassSupport:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_random_polynomials(self, n):
-        rng = random.Random(240 + n)
-        for _ in range(20):
-            f = random_laurent(rng, n)
+        for f, g, (a, b) in seeded_polynomials(n):
             assert_coset_support_matches(f)
-            # keep f's y-exponents outside a run, then multiply by e_k of the run
-            a = rng.randrange(n - 1)
-            b = rng.randint(a + 2, n)
-            outside = LaurentPoly(n, {})
-            for key, c in f.terms.items():
-                yexp = tuple(0 if a <= j < b else e for j, e in enumerate(key[n:]))
-                outside = outside + LaurentPoly.monomial(n, c, xexp=key[:n], yexp=yexp)
-            g = outside * e_of_run(rng.randint(1, b - a), n, a, b)
             for j in range(a + 1, b):
                 assert permute_y_by_terms(Permutation.simple(n, j), g) == g
             assert_coset_support_matches(g)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_swap_check_is_the_relabel_check(self, n):
+        polys = [grothendieck(u) for u in all_permutations(n)]
+        if n > 1:
+            polys += [f for pair in seeded_polynomials(n) for f in pair[:2]]
+        fixing = 0
+        for f in polys:
+            for j in range(1, n):
+                fixes = _is_permute_y(Permutation.simple(n, j), f, f)
+                assert _swap_fixes(j, f) == fixes, (f, j)
+                fixing += fixes
+        # both answers occur (S_1 has no swap)
+        assert 0 < fixing < len(polys) * (n - 1) or n == 1
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_zero_and_a_constant(self, n):
@@ -950,7 +972,7 @@ class TestClassSupport:
     def test_claiming_every_swap_fixes_fails(self, monkeypatch, n):
         # the mutation: the detection finds one run of all n slots for every f
         truth = {u: support(grothendieck(u)) for u in all_permutations(n)}
-        monkeypatch.setattr(gkm, "_is_permute_y", lambda sigma, f, g: True)
+        monkeypatch.setattr(gkm, "_swap_fixes", lambda j, f: True)
         longest = Permutation.longest(n)
         for u, supp in truth.items():
             got = gkm._coset_support(grothendieck(u))

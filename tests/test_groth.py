@@ -1,4 +1,7 @@
+import hashlib
 import math
+import sys
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -20,6 +23,18 @@ def yv(n, i):
 def top_factor(n, i, j):
     xexp = tuple(-1 if t == i - 1 else 0 for t in range(n))
     return 1 - LaurentPoly.y(n, j) * LaurentPoly.monomial(n, 1, xexp=xexp)
+
+
+# per rank, the sha256 of every class's top(n) key positions and coefficients
+# in insertion order, w in lexicographic order
+TABLE_SHA256 = {
+    1: "9d34149fbd1fe777eb238799054c8cbfbce372255f219f8740838def9bfd02db",
+    2: "2077388e8d621529d30633a48f8cb7546adbe5f8ee305bbe5959c8b63ad8b567",
+    3: "86e286db4244e1ece1f289a03c3af503f9aa6a4a2cd0f325c9ac3f5d6421f7ad",
+    4: "12764f28f4ad543e5f976b21404e842adb9153c5b216d3d86fc5a2d8d18b64c2",
+    5: "fc1d3b87ab0266b11190aca213783daa1d8dc3b1656f88d9ba73df3811f63b3b",
+    6: "8e20070fa31000972f830c5288ca9ae0830db65bc6edcd9d6aef5259dacc3d53",
+}
 
 
 class TestTop:
@@ -80,6 +95,21 @@ class TestGrothendieck:
                 assert list(f.terms.items()) == list(plain.terms.items())
         groth.clear_cache()
         assert not pool
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
+    def test_every_class_is_right_sized_in_its_pinned_order(self, n):
+        # a class's term dict takes no more room than a compact copy of it
+        # (pi returns dict(out), which repacks a table left oversized by
+        # growth and cancellation), and its terms keep their pinned
+        # insertion order
+        index = {k: i for i, k in enumerate(groth.top(n).terms)}
+        pinned = hashlib.sha256()
+        for w in all_permutations(n):
+            terms = groth.grothendieck(w).terms
+            assert sys.getsizeof(terms) == sys.getsizeof(dict(terms)), w
+            pinned.update(array("q", map(index.__getitem__, terms)).tobytes())
+            pinned.update(array("q", terms.values()).tobytes())
+        assert pinned.hexdigest() == TABLE_SHA256[n]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
     def test_every_class_matches_pipe_dreams(self, n):

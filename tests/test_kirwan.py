@@ -6,6 +6,7 @@ from operator import itemgetter
 import pytest
 
 from kflag import kirwan
+from kflag.cli import main
 from kflag.errors import (
     InvalidInputError,
     NotRegularError,
@@ -99,19 +100,16 @@ def wall_cases():
 WALL_CASES = wall_cases()
 
 
-@pytest.fixture(scope="module")
-def generators():
+@pytest.fixture
+def generators(rank5_kernel):
     """kernel_generators of (lam, mu) strings. The rank-5 staircase result is
-    built once for the module and shared by the tests that take it this way,
+    the session's rank5_kernel, shared by the tests that take it this way,
     none of which checks that a repeated call gives the same result."""
-    rank5 = []
 
     def get(lam, mu):
-        if (lam, mu) != (RANK5_LAM, RANK5_MU):
-            return kernel_generators(W(lam), W(mu))
-        if not rank5:
-            rank5.append(kernel_generators(W(lam), W(mu)))
-        return rank5[0]
+        if (lam, mu) == (RANK5_LAM, RANK5_MU):
+            return rank5_kernel
+        return kernel_generators(W(lam), W(mu))
 
     return get
 
@@ -456,6 +454,17 @@ class TestKernelGenerators:
         assert len({id(k) for k in keys}) == len(set(keys)) < len(keys)
         if W(lam).n == 5:
             assert (len(set(keys)), len(keys)) == (9366, 1085892)
+
+    @pytest.mark.parametrize(
+        "lam, mu",
+        [("3,1,-1,-3", "31/97,17/97,-11/97,-37/97"), (RANK5_LAM, RANK5_MU)],
+        ids=["rank4", "rank5"],
+    )
+    def test_generators_share_witness_tuples(self, generators, lam, mu):
+        witnesses = [gen.witnesses for gen in generators(lam, mu)]
+        distinct = set(witnesses)
+        assert len({id(ks) for ks in witnesses}) == len(distinct) < len(witnesses)
+        assert len(distinct) <= 2 ** (W(lam).n - 1) - 1
 
     @pytest.mark.parametrize(
         "lam, mu",
@@ -813,6 +822,80 @@ class TestIdealClosure:
             checked = [(other.v, other.gamma, other.witnesses) for other in rest]
             bad = closure_violations(checked, rest, reached)
             assert bad and {(w, gamma) for _, gamma, w in bad} == {(gen.v, gen.gamma)}
+
+
+def seeded_generic_lam(rng, n):
+    """A strictly decreasing zero-sum vector of distinct seeded rationals."""
+    entries = set()
+    while len(entries) < n:
+        entries.add(Fraction(rng.randint(-60, 60), rng.randint(1, 7)))
+    mean = sum(entries) / n
+    return WeightVector(tuple(sorted((e - mean for e in entries), reverse=True)))
+
+
+def break_tail(monkeypatch, u, k):
+    """Patch kirwan._tail_sums so every tail over u^-1 at cut k drops by 10^6:
+    far below every other tail, so no wall appears, and only the covers with
+    u on top break at k."""
+    real = kirwan._tail_sums
+    target = u.inverse().images
+
+    def broken(values, perms):
+        return [
+            tuple(t - 10**6 if (p.images, i) == (target, k - 1) else t for i, t in enumerate(ts))
+            for p, ts in zip(perms, real(values, perms))
+        ]
+
+    monkeypatch.setattr(kirwan, "_tail_sums", broken)
+
+
+class TestCoverMonotonicity:
+    """kirwan.cover_monotonicity: the lam tails over u^-1 never decrease along
+    a Bruhat cover u < u', which makes every half-space a lower set of
+    <=_gamma (ROADMAP item 11, the completeness half)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_covers_match_the_brute_force(self, n):
+        # covers from bruhat_leq and length(), tails from eta_value Fractions
+        perms = list(all_permutations(n))
+        lengths = {u: u.length() for u in perms}
+        brute = {
+            (u, w) for u in perms for w in perms
+            if lengths[w] == lengths[u] + 1 and bruhat_leq(u, w)
+        }
+        rng = random.Random(250 + n)
+        for lam in [WeightVector.staircase(n)] + [seeded_generic_lam(rng, n) for _ in range(3)]:
+            covers = kirwan.cover_monotonicity(lam)
+            assert len(covers) == len(brute) and set(covers) == brute
+            for u, w in covers:
+                for k in range(1, n):
+                    assert eta_value(u.inverse(), k, lam) <= eta_value(w.inverse(), k, lam)
+        assert len(brute) == {1: 0, 2: 1, 3: 8, 4: 58, 5: 444}[n]
+
+    def test_rank_six_cover_count(self):
+        assert len(kirwan.cover_monotonicity(WeightVector.staircase(6))) == 3708
+
+    def test_a_broken_tail_names_its_cover(self, monkeypatch):
+        # s_1 covers only the identity
+        s1 = Permutation((2, 1, 3))
+        break_tail(monkeypatch, s1, 1)
+        with pytest.raises(SoundnessFailureError, match=r"cover 1,2,3 < 2,1,3 breaks the k=1 "):
+            kirwan.cover_monotonicity(W("1,0,-1"))
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_kernel_check_exits_4_naming_the_cover(self, monkeypatch, capsys, mode):
+        # s_2 covers only the identity; the patched run still finds its
+        # generators, and only --check looks at the covers
+        argv = ["kernel", "--lambda", "1,0,-1", "--mu", "1/4,1/8,-3/8", *mode]
+        break_tail(monkeypatch, Permutation((1, 3, 2)), 2)
+        assert main(argv) == 0
+        assert main([*argv, "--check"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: Bruhat cover 1,2,3 < 1,3,2 breaks the k=2 lower set")
+
+    def test_non_generic_lam_refused(self):
+        with pytest.raises(InvalidInputError, match="not strictly decreasing"):
+            kirwan.cover_monotonicity(W("0,1,-1"))
 
 
 class TestPresentation:
