@@ -41,9 +41,9 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from itertools import count, permutations, repeat
+from itertools import count, islice, permutations, repeat
 from math import factorial
-from operator import add, itemgetter, mul
+from operator import add, countOf, itemgetter, mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -53,6 +53,7 @@ from .errors import (
     NotDivisibleError,
     NotInSpanError,
 )
+from . import laurent
 from .groth import grothendieck, permuted_grothendieck
 from .laurent import MAX_TERMS, LaurentPoly, _swap_fixes, canonical_zero_test
 from .perm import Permutation, _check_rank, all_permutations, bruhat_leq
@@ -431,17 +432,27 @@ def _pack(f: LaurentPoly, weights: Sequence[int]) -> dict[int, int]:
 
 def _add_product(entries: list[dict[int, int]], a: dict[int, int], f: LaurentPoly, b: int) -> None:
     """entries[z] += a * (f at z) for every z in S_n, in lexicographic order, on packed
-    keys with base b, in place, once per stopped node; entries may be left at 0."""
+    keys with base b, in place, once per stopped node; entries may be left at 0. A node
+    writes len(a) products per nonzero sum at each point below it, counted before it
+    writes: past laurent.MAX_TERMS, the bound of LaurentPoly products (gkm.MAX_TERMS
+    bounds quotients), the call raises LimitExceededError."""
     pairs = list(a.items())
-
-    def products(fkeys, fcoeffs):
-        sums = _sums(fkeys, fcoeffs).items()
-        return [(key + k, ca * c) for k, c in sums if c for key, ca in pairs]
-
-    for acc, prods in zip(entries, _spread(_packed_restrictions(f, False, b), products)):
-        get = acc.get
-        for key, prod in prods:
-            acc[key] = get(key, 0) + prod
+    points = iter(entries)
+    written = 0
+    for _, free, fkeys, fcoeffs in _packed_restrictions(f, False, b):
+        sums = _sums(fkeys, fcoeffs)
+        below = factorial(len(free))
+        written += len(pairs) * (len(sums) - countOf(sums.values(), 0)) * below
+        if written > laurent.MAX_TERMS:
+            raise LimitExceededError(
+                f"a product of {len(pairs)} terms by a class would write at least {written}"
+                f" summands, over the term bound MAX_TERMS = {laurent.MAX_TERMS}"
+            )
+        prods = [(key + k, ca * c) for k, c in sums.items() if c for key, ca in pairs]
+        for acc in islice(points, below):
+            get = acc.get
+            for key, prod in prods:
+                acc[key] = get(key, 0) + prod
 
 
 def _divide_binomial(p: dict[int, int], d: int, span: int) -> dict[int, int]:
@@ -535,8 +546,8 @@ def decompose(alpha: RestrictionClass, gamma: Permutation) -> dict[Permutation, 
             raise NotInSpanError(
                 f"residue at {w} is not divisible by the diagonal restriction"
             ) from exc
-        coeffs[w] = decoded.poly(q)
         _add_product(residue, {k: -c for k, c in q.items()}, permuted_grothendieck(w, gamma), b)
+        coeffs[w] = decoded.poly(q)
     for z, res in zip(perms, residue):
         if any(res.values()) and not canonical_zero_test(decoded.poly(res)):
             raise InternalInvariantError(f"nonzero residue left at {z} after the solve")

@@ -17,12 +17,11 @@ witness. G_{v^-1} is symmetric in y_j, y_{j+1} exactly when v(j) > v(j+1),
 and only kernel_generators relies on it: _y_runs joins those positions
 into runs, and the generators of one v whose gammas differ by those s_j
 share one polynomial. kernel_generators builds one term dict per such
-coset. It splits each distinct key of the base classes into its x part and
-its y part, relabels each distinct y part once per gamma and builds each
-relabelled key once, so its generators share their key tuples: at rank 5
-the 105 base classes hold 776 distinct keys over 120 x parts and 120 y
-parts, and the 11,520 generators hold 3,195 distinct polynomials with
-455,751 terms (1.09 M counted per generator) over 9,366 distinct keys.
+coset. It relabels each distinct base key once per gamma (laurent._slot_getter)
+into a table, through one pool per call, so its generators share their key
+tuples: at rank 5 the 105 base classes hold 776 distinct keys, and the 11,520
+generators hold 3,195 distinct polynomials with 455,751 terms (1.09 M counted
+per generator) over 9,366 distinct keys.
 
 Soundness is one half of the kernel theorem. cover_monotonicity certifies
 the lemma behind the other half, completeness: the lam tails over u^-1 never
@@ -36,7 +35,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, count
-from operator import add, itemgetter, lt
+from operator import itemgetter, lt
 from typing import Sequence
 
 from .errors import (
@@ -50,6 +49,7 @@ from .groth import grothendieck
 from .laurent import (
     LaurentPoly,
     _is_permute_y,
+    _slot_getter,
     elementary_symmetric,
     polys_to_json,
 )
@@ -362,27 +362,13 @@ def kernel_generators(lam: WeightVector, mu: WeightVector) -> tuple[KernelGenera
             # pi_v of the top class is the plain class of v^{-1}; the
             # operators commute with the y-relabeling by gamma
             bases[i] = grothendieck(perms[i].inverse())
-    # a gamma's table holds every distinct base key relabelled by it. A key
-    # splits into its x part and its y part, and each distinct y part is
-    # relabelled once per gamma; a relabelled key is built once, found by
-    # x id + len(xs) * (relabelled y id)
+    # a gamma's table holds every distinct base key relabelled by it; the pool
+    # keeps one tuple per relabelled key, so generators share their key tuples
     index = dict(zip(dict.fromkeys(k for f in bases.values() for k in f.terms), count()))
-    xs: dict[tuple[int, ...], int] = {}
-    ys: dict[tuple[int, ...], int] = {}
-    key_x = [xs.setdefault(k[:n], len(xs)) for k in index]
-    key_y = [ys.setdefault(k[n:], len(ys)) for k in index]
-    x_parts, y_parts, m = list(xs), list(ys), len(xs)
-    relabelled: dict[tuple[int, ...], int] = {}
-    pool: dict[int, tuple[int, ...]] = {}
-    ids, tables = count(), {}
+    pool: dict[tuple[int, ...], tuple[int, ...]] = {}
+    tables = {}
     for j in dict.fromkeys(j for _, j, _ in rows):
-        rel = list(map(_picker([s - 1 for s in perms[j].inverse().images]), y_parts))
-        rel_ids = list(map(relabelled.setdefault, rel, ids))
-        by_id = dict(zip(rel_ids, rel))
-        codes = list(map(add, key_x, map([m * r for r in rel_ids].__getitem__, key_y)))
-        for c in set(codes).difference(pool):
-            pool[c] = x_parts[c % m] + by_id[c // m]
-        tables[j] = list(map(pool.__getitem__, codes))
+        tables[j] = [pool.setdefault(k, k) for k in map(_slot_getter(perms[j]), index)]
     # the generators of one coset share one class; coset keys are memoised per runs
     cosets: dict[tuple, dict[int, tuple[int, ...]]] = {}
     gens = []
@@ -460,11 +446,7 @@ def kernel_soundness(
                 perm_of = {p.images: p for p in all_permutations(v.n)}
             base = grothendieck(v.inverse())
             supp = list(_coset_support(base))
-            # p^-1 lists p's positions in the order of their values
-            tails = _tail_sums(lam_ints, [
-                perm_of[tuple(map(itemgetter(1), sorted(zip(p.images, count(1)))))]
-                for p in supp
-            ])
+            tails = _tail_sums(lam_ints, [p.inverse() for p in supp])
             # per cut, the largest tail, its Fraction and the picks of its
             # points: (gamma * p)(i) = gamma(p(i)), so z is read through p's slots
             tops = []

@@ -14,6 +14,7 @@ import itertools
 import re
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
+from math import comb
 from operator import add, eq, itemgetter
 from typing import Mapping, Sequence
 
@@ -240,6 +241,11 @@ def elementary_symmetric(i: int, block: str, n: int) -> LaurentPoly:
     _check_rank(n)
     if not 1 <= i <= n:
         raise InvalidInputError(f"symmetric polynomial index {i} out of range for rank {n}")
+    if comb(n, i) > MAX_TERMS:
+        raise LimitExceededError(
+            f"e_{i} in {n} variables has {comb(n, i)} terms, over the term bound"
+            f" MAX_TERMS = {MAX_TERMS}"
+        )
     offset = 0 if block == "x" else n
     terms: dict[tuple[int, ...], int] = {}
     for combo in itertools.combinations(range(n), i):

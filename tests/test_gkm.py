@@ -1,14 +1,16 @@
 import hashlib
 import itertools
+import json
 import random
 import sys
+import time
 import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kflag import gkm
+from kflag import gkm, laurent
 from kflag.cli import main as cli_main
 from kflag.errors import (
     InvalidInputError,
@@ -570,6 +572,84 @@ class TestDecomposeAgainstPointRoute:
         assert back.entries == recompose_by_points(coeffs, gamma, n)
         for z in all_permutations(n):
             assert canonical_zero_test(back.entries[z] - alpha.entries[z])
+
+
+class TestProductBudget:
+    """decompose and recompose count the summands of each coefficient's
+    product with its basis class, len(a) per nonzero term of the class at
+    every point, before they write them, and refuse past laurent.MAX_TERMS."""
+
+    @staticmethod
+    def summands(coeff_map, gamma, n):
+        # counted point by point, through restrict
+        points = list(all_permutations(n))
+        return [
+            len(c.terms)
+            * sum(len(restrict(permuted_grothendieck(w, gamma), z).terms) for z in points)
+            for w, c in coeff_map.items()
+        ]
+
+    def test_the_bound_counts_every_point(self, monkeypatch):
+        rng = random.Random(131)
+        n = 4
+        perms = list(all_permutations(n))
+        gamma = Permutation((2, 4, 1, 3))
+        coeff_map = {w: wide_y_laurent(rng, n, 2, 5) for w in rng.sample(perms, 3)}
+        alpha = recompose(coeff_map, gamma, n)
+        largest = max(self.summands(coeff_map, gamma, n))
+        monkeypatch.setattr(laurent, "MAX_TERMS", largest)
+        assert recompose(coeff_map, gamma, n).entries == alpha.entries
+        coeffs = decompose(alpha, gamma)
+        assert coeffs == {w: coeff_map.get(w, LaurentPoly.zero(n)) for w in perms}
+        monkeypatch.setattr(laurent, "MAX_TERMS", largest - 1)
+        bound = rf"over the term bound MAX_TERMS = {largest - 1}$"
+        with pytest.raises(LimitExceededError, match=bound):
+            recompose(coeff_map, gamma, n)
+        with pytest.raises(LimitExceededError, match=bound):
+            decompose(alpha, gamma)
+
+    @pytest.fixture(scope="class")
+    def wide_rank_six(self):
+        # 60,000 y-only terms at w0 and 0 elsewhere. The coefficient at w0 is
+        # that entry, and its class G_{w0} = 1 would take it to all 720 points
+        n = 6
+        w0 = Permutation.longest(n)
+        keys = itertools.islice(itertools.product(range(7), repeat=n), 60_000)
+        f = LaurentPoly(n, {(0,) * n + k: 1 for k in keys})
+        zero = LaurentPoly.zero(n)
+        alpha = RestrictionClass(n, {z: f if z == w0 else zero for z in all_permutations(n)})
+        # the class cache is warm before any call is timed
+        assert grothendieck(w0) == 1
+        return alpha, w0, f
+
+    def test_sixty_thousand_terms_at_rank_six_refused_at_once(self, wide_rank_six):
+        alpha, w0, f = wide_rank_six
+        identity = Permutation.identity(6)
+        message = (
+            "a product of 60000 terms by a class would write at least 43200000 summands,"
+            f" over the term bound MAX_TERMS = {laurent.MAX_TERMS}"
+        )
+        for solve in (lambda: decompose(alpha, identity), lambda: recompose({w0: f}, identity, 6)):
+            start = time.perf_counter()
+            with pytest.raises(LimitExceededError) as info:
+                solve()
+            assert time.perf_counter() - start < 1
+            assert str(info.value) == message
+
+    def test_sixty_thousand_terms_at_rank_six_exit_2(self, wide_rank_six, tmp_path, capsys):
+        alpha, w0, f = wide_rank_six
+        poly = [{"coeff": "1", "x": list(k[:6]), "y": list(k[6:])} for k in f.terms]
+        entries = [{"z": list(z.images), "poly": poly if z == w0 else []} for z in alpha.entries]
+        class_file = tmp_path / "class.json"
+        class_file.write_text(json.dumps({"n": 6, "entries": entries}))
+        argv = ["decompose", "--n", "6", "--gamma", "1,2,3,4,5,6", "--class", str(class_file)]
+        code = cli_main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (
+            "error: a product of 60000 terms by a class would write at least 43200000"
+            f" summands, over the term bound MAX_TERMS = {laurent.MAX_TERMS}\n"
+        )
 
 
 def wide_y_laurent(rng, n, bound, size):

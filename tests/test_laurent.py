@@ -344,6 +344,31 @@ class TestElementarySymmetric:
         with pytest.raises(InvalidInputError):
             elementary_symmetric(1, "z", 3)
 
+    def test_oversized_is_refused_before_any_term(self):
+        # C(24, 12) = 2,704,156 terms
+        start = time.perf_counter()
+        with pytest.raises(
+            LimitExceededError,
+            match=rf"^e_12 in 24 variables has 2704156 terms, over the term bound"
+            rf" MAX_TERMS = {MAX_TERMS}$",
+        ):
+            elementary_symmetric(12, "x", 24)
+        assert time.perf_counter() - start < 0.1
+
+    def test_the_bound_counts_the_binomial(self, monkeypatch):
+        # C(10, 5) = 252 terms
+        monkeypatch.setattr(laurent, "MAX_TERMS", 252)
+        assert len(elementary_symmetric(5, "y", 10).terms) == 252
+        monkeypatch.setattr(laurent, "MAX_TERMS", 251)
+        with pytest.raises(LimitExceededError, match="has 252 terms"):
+            elementary_symmetric(5, "y", 10)
+
+    def test_below_the_bound_still_builds(self):
+        # C(20, 10) = 184,756 terms, each a product of 10 distinct x-variables
+        f = elementary_symmetric(10, "x", 20)
+        assert len(f.terms) == 184_756 and set(f.terms.values()) == {1}
+        assert sum(map(sum, f.terms)) == 10 * 184_756
+
 
 class TestSerialization:
     def test_json_roundtrip(self):
