@@ -46,12 +46,11 @@ print(f"soundness: {checks} strict inequalities verified, one per witness,"
       " each at the worst support point")
 
 pres = presentation(lam, mu)
-obj = pres.to_json_obj()
 print()
 print("presentation summary:")
-print(f"    symmetric-difference relations: {len(obj['ideal_I'])}")
-print(f"    determinant relation terms:     {len(obj['det_relation'])}")
-print(f"    kernel generators:              {len(obj['kernel'])}")
+print(f"    symmetric-difference relations: {len(pres.ideal_i)}")
+print(f"    determinant relation terms:     {len(pres.det_relation.terms)}")
+print(f"    kernel generators:              {len(pres.kernel)}")
 print()
 print("a degenerate wall example: mu = 0 is NOT regular for this spectrum:")
 bad = is_regular(lam, WeightVector.parse("0,0,0"))

@@ -30,8 +30,8 @@ such tables as they are (106 of the 118). The cache holds every class, so
 the full rank-6 table's term dicts take 18.8 MB instead of 23.6 MB.
 
 ``pi`` writes sum |alpha_i + 1 - alpha_{i+1}| summands and refuses more
-than ``MAX_TERMS``: it counts the fixed summands, then each term's others
-before it builds them, so x1^(10^9) is refused before it is expanded.
+than ``laurent.MAX_TERMS``: it counts the fixed summands, then each
+term's others before it builds them, so x1^(10^9) is refused unexpanded.
 
 Operator words are not built here: ``groth.grothendieck`` applies one
 ``pi`` per cached step, and the operator-word routes, which apply ``pi``
@@ -40,8 +40,9 @@ along a reduced word, rightmost letter first, are test oracles.
 
 from __future__ import annotations
 
+from . import laurent
 from .errors import InvalidInputError, LimitExceededError
-from .laurent import MAX_TERMS, LaurentPoly
+from .laurent import LaurentPoly
 
 
 def _check_index(i: int, f: LaurentPoly) -> None:
@@ -52,7 +53,7 @@ def _check_index(i: int, f: LaurentPoly) -> None:
 def _refuse(i: int, written: int) -> None:
     raise LimitExceededError(
         f"the divided difference at i = {i} would write at least {written} terms,"
-        f" over the term bound MAX_TERMS = {MAX_TERMS}"
+        f" over the term bound MAX_TERMS = {laurent.MAX_TERMS}"
     )
 
 
@@ -79,12 +80,12 @@ def pi(
     'x2^-1 + x1^-1'
     """
     _check_index(i, f)
-    lo = i - 1
+    lo, bound = i - 1, laurent.MAX_TERMS
     terms = f.terms
     # each term with alpha_i >= alpha_{i+1} is its own fixed summand
     out = {key: c for key, c in terms.items() if key[lo] >= key[i]}
     written = len(out)
-    if written > MAX_TERMS:
+    if written > bound:
         _refuse(i, written)
     get = out.get
     # an empty dict's get hands every key back: no pool, no interning
@@ -98,7 +99,7 @@ def pi(
         else:
             continue
         written += stop - start
-        if written > MAX_TERMS:
+        if written > bound:
             _refuse(i, written)
         total = a + b
         head, tail = key[:lo], key[i + 1:]

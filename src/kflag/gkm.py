@@ -27,8 +27,8 @@ support(f) tests each point. ``restrict(f, z)`` at one point is the oracle.
 The sweep and kernel soundness read the support of a plain class G_u
 through _coset_support(G_u), which takes any polynomial f and walks one
 point per coset of its y-symmetries. It reads them off f: slots j - 1 and
-j share a run [a, b) when swapping y_j, y_{j+1} fixes f (one swap check
-per j, which looks up only the terms the swap moves). Then f is symmetric
+j share a run [a, b) when swapping y_j, y_{j+1} fixes f (one relabel
+check _is_permute_y(s_j, f, f) per j). Then f is symmetric
 in the y-variables of each run, so z and z with two of the values
 a + 1, ..., b swapped lie in the support together.
 The walk places each of a + 2, ..., b (the tied values) only after the
@@ -55,7 +55,7 @@ from .errors import (
 )
 from . import laurent
 from .groth import grothendieck, permuted_grothendieck
-from .laurent import MAX_TERMS, LaurentPoly, _swap_fixes, canonical_zero_test
+from .laurent import LaurentPoly, _is_permute_y, canonical_zero_test
 from .perm import Permutation, _check_rank, all_permutations, bruhat_leq
 
 #: Ceiling for the exhaustive support sweep.
@@ -239,10 +239,25 @@ class RestrictionClass:
 
 def restrict_all(f: LaurentPoly) -> RestrictionClass:
     """Restrict at every fixed point of S_n. Each stopped node is summed and decoded
-    once; its points share one LaurentPoly object, which must not be mutated."""
+    once; its points share one LaurentPoly object, which must not be mutated. The
+    nonzero sums of the nodes are counted before each is decoded: past
+    laurent.MAX_TERMS, the call raises LimitExceededError."""
     decoded = _Decoder(f.n, _packing_base(f))
     nodes = _packed_restrictions(f, False, decoded.b)
-    polys = _spread(nodes, lambda keys, coeffs: decoded.poly(_sums(keys, coeffs)))
+    written = 0
+
+    def entry(keys: Sequence[int], coeffs: Sequence[int]) -> LaurentPoly:
+        nonlocal written
+        sums = _sums(keys, coeffs)
+        written += len(sums) - countOf(sums.values(), 0)
+        if written > laurent.MAX_TERMS:
+            raise LimitExceededError(
+                f"the restrictions would hold at least {written} terms,"
+                f" over the term bound MAX_TERMS = {laurent.MAX_TERMS}"
+            )
+        return decoded.poly(sums)
+
+    polys = _spread(nodes, entry)
     return RestrictionClass._raw(f.n, dict(zip(all_permutations(f.n), polys)))
 
 
@@ -258,7 +273,7 @@ def _coset_support(f: LaurentPoly) -> SupportSet:
     """supp(f) as Permutations of all_permutations(n), walking one point per
     coset of f's y-symmetries: y_j, y_{j+1} share a run when swapping them fixes f."""
     n = f.n
-    ends = [j for j in range(1, n) if not _swap_fixes(j, f)]
+    ends = [j for j in range(1, n) if not _is_permute_y(Permutation.simple(n, j), f, f)]
     runs = list(zip([0, *ends], [*ends, n]))
     tied = frozenset(j for a, b in runs for j in range(a + 2, b + 1))
     # one map of values (indexed by value) per way of permuting the values
@@ -434,8 +449,8 @@ def _add_product(entries: list[dict[int, int]], a: dict[int, int], f: LaurentPol
     """entries[z] += a * (f at z) for every z in S_n, in lexicographic order, on packed
     keys with base b, in place, once per stopped node; entries may be left at 0. A node
     writes len(a) products per nonzero sum at each point below it, counted before it
-    writes: past laurent.MAX_TERMS, the bound of LaurentPoly products (gkm.MAX_TERMS
-    bounds quotients), the call raises LimitExceededError."""
+    writes: past laurent.MAX_TERMS, the one term bound that every product and
+    quotient reads, the call raises LimitExceededError."""
     pairs = list(a.items())
     points = iter(entries)
     written = 0
@@ -464,7 +479,7 @@ def _divide_binomial(p: dict[int, int], d: int, span: int) -> dict[int, int]:
     differ by more than span along e sit on different lines of exponent
     space that the packing folds together, so no carry may cross that gap.
     A carry fills the gap between two keys; one that would take the
-    quotient past MAX_TERMS terms raises LimitExceededError before it runs.
+    quotient past laurent.MAX_TERMS terms raises LimitExceededError before it runs.
     """
     step = abs(d)
     lines: dict[int, list[int]] = {}
@@ -478,9 +493,9 @@ def _divide_binomial(p: dict[int, int], d: int, span: int) -> dict[int, int]:
                 gap = (k - prev) // d
                 if gap > span:
                     raise NotDivisibleError("no exact quotient exists")
-                if len(q) + gap - 1 > MAX_TERMS:
+                if len(q) + gap - 1 > laurent.MAX_TERMS:
                     raise LimitExceededError(
-                        f"a quotient would exceed the term bound MAX_TERMS = {MAX_TERMS}"
+                        f"a quotient would exceed the term bound MAX_TERMS = {laurent.MAX_TERMS}"
                     )
                 for g in range(prev + d, k, d):
                     q[g] = carry

@@ -74,8 +74,6 @@ MAX_KERNEL_RANK = 5
 #: converting an int to text.
 MAX_WEIGHT_DIGITS = 800
 
-_WEIGHT_CEILING = 10**MAX_WEIGHT_DIGITS
-
 # a weight entry: sign, digits, then /digits or .digits; no exponent, space or "_"
 _ENTRY = re.compile(r"[+-]?([0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
 
@@ -126,7 +124,7 @@ class WeightVector:
         object.__setattr__(self, "entries", entries)
         if len(entries) < 1:
             raise InvalidInputError("weight vector must have at least one entry")
-        if any(max(abs(e.numerator), e.denominator) >= _WEIGHT_CEILING for e in entries):
+        if max(max(abs(e.numerator), e.denominator) for e in entries) >= 10**MAX_WEIGHT_DIGITS:
             raise LimitExceededError(
                 "a weight entry exceeds the digit bound"
                 f" MAX_WEIGHT_DIGITS = {MAX_WEIGHT_DIGITS} in its numerator or denominator"

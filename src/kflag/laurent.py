@@ -15,7 +15,7 @@ import re
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 from math import comb
-from operator import add, eq, itemgetter
+from operator import add, eq, itemgetter, neg, sub
 from typing import Mapping, Sequence
 
 from .errors import InvalidInputError, LimitExceededError, NotDivisibleError
@@ -23,8 +23,7 @@ from .perm import Permutation, _check_rank
 
 #: Ceiling for the terms an operation may write: pi_1 on top(7) (484,912
 #: terms) writes 788,816 and peaks near 420 MB; 2,000,000 rank-2 terms peak
-#: near 940 MB. ddo.pi (and so delta), LaurentPoly.__mul__ and gkm's
-#: binomial quotients check it.
+#: near 940 MB. Every term budget of the package reads it here when it runs.
 MAX_TERMS = 1_000_000
 
 #: Ceiling for the decimal digits of a coefficient that poly_from_json reads.
@@ -292,16 +291,6 @@ def _is_permute_y(sigma: Permutation, f: LaurentPoly, g: LaurentPoly) -> bool:
     )
 
 
-def _swap_fixes(j: int, f: LaurentPoly) -> bool:
-    """Whether swapping y_j and y_{j+1} fixes f, as _is_permute_y(s_j, f, f)
-    decides it: a term whose y_j and y_{j+1} exponents are equal maps to
-    itself, so only the other terms are looked up (up to the first miss)."""
-    lo = f.n + j - 1
-    terms = f.terms
-    swap = _slot_getter(Permutation.simple(f.n, j))
-    return all(terms.get(swap(k)) == c for k, c in terms.items() if k[lo] != k[lo + 1])
-
-
 # -- exact division -----------------------------------------------------------
 
 
@@ -315,7 +304,8 @@ def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     No library routine calls it: ``gkm.decompose`` divides by the diagonal
     one binomial at a time. It stays public as the tests' division oracle
     and because the benchmark's ``laurent.exact_div`` span resolves it by
-    name.
+    name. It refuses a quotient q once len(q) * len(g), the summands of the
+    check product q * g, passes MAX_TERMS.
 
     >>> x1, x2 = LaurentPoly.x(2, 1), LaurentPoly.x(2, 2)
     >>> str(exact_div(x1 * x1 - x2 * x2, x1 - x2))
@@ -335,29 +325,35 @@ def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     glead = max(gpoly)
     gcoeff = gpoly[glead]
     gtail = [(k, c) for k, c in gpoly.items() if k != glead]
+    room = MAX_TERMS // len(gpoly)  # the most quotient terms within the bound
 
     cur = dict(fpoly)
-    heap = [tuple(-e for e in k) for k in fpoly]
+    heap = [tuple(map(neg, k)) for k in fpoly]
     heapq.heapify(heap)
     quotient: dict[tuple[int, ...], int] = {}
     while heap:
-        k = tuple(-e for e in heapq.heappop(heap))
+        k = tuple(map(neg, heapq.heappop(heap)))
         c = cur.pop(k, 0)
         if not c:
             continue
-        qkey = tuple(a - b for a, b in zip(k, glead))
-        if any(e < 0 for e in qkey):
+        qkey = tuple(map(sub, k, glead))
+        if min(qkey) < 0:
             raise NotDivisibleError("no exact quotient exists")
         qc, rem = divmod(c, gcoeff)
         if rem:
             raise NotDivisibleError("no exact quotient exists")
         quotient[qkey] = quotient.get(qkey, 0) + qc
+        if len(quotient) > room:
+            raise LimitExceededError(
+                f"an exact quotient would hold over {room} terms: its product with the"
+                f" {len(gpoly)}-term divisor would pass the term bound MAX_TERMS = {MAX_TERMS}"
+            )
         for tk, tc in gtail:
-            nk = tuple(a + b for a, b in zip(qkey, tk))
+            nk = tuple(map(add, qkey, tk))
             s = cur.get(nk, 0) - qc * tc
             if s:
                 if nk not in cur:
-                    heapq.heappush(heap, tuple(-e for e in nk))
+                    heapq.heappush(heap, tuple(map(neg, nk)))
                 cur[nk] = s
             else:
                 cur.pop(nk, None)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kflag import ddo, gkm, groth, kirwan
+from kflag import gkm, groth, kirwan, laurent
 from kflag.cli import build_parser, main, restriction_class_from_json
 from kflag.errors import InvalidInputError, LimitExceededError
 from kflag.gkm import decompose, recompose, restrict_all
@@ -236,7 +236,7 @@ class TestDdoTermBound:
         ],
     )
     def test_the_bound_counts_written_terms(self, capsys, monkeypatch, tmp_path, x, op, expected):
-        monkeypatch.setattr(ddo, "MAX_TERMS", 1000)
+        monkeypatch.setattr(laurent, "MAX_TERMS", 1000)
         poly_file = self.monomial_file(tmp_path, x)
         code, out, err = run(capsys, "ddo", "--op", op, "--i", "1", "--poly", poly_file)
         assert code == expected
@@ -473,15 +473,27 @@ class TestDecomposeTermBound:
         alpha = restriction_class_from_json(data)
         assert recompose(coeffs, Permutation((1, 2)), 2).entries == alpha.entries
 
-    @pytest.mark.parametrize("bound, expected", [(1000, 0), (999, 2)])
+    @pytest.mark.parametrize("bound, expected", [(2000, 0), (1999, 2), (999, 2)])
     def test_the_bound_counts_quotient_terms(self, capsys, monkeypatch, tmp_path, bound, expected):
-        # the quotient holds exactly 1000 terms
-        monkeypatch.setattr(gkm, "MAX_TERMS", bound)
+        # the quotient holds exactly 1000 terms, and its product with the
+        # class (1 at both points) writes 2000 summands
+        monkeypatch.setattr(laurent, "MAX_TERMS", bound)
         _, class_file = self.class_file(tmp_path, 1000)
         code, out, err = run(capsys, "decompose", "--n", "2", "--gamma", "1,2", "--class", class_file)
         assert code == expected
         if expected:
             assert out == "" and f"term bound MAX_TERMS = {bound}" in err
+
+    def test_the_quotient_alone_meets_the_bound(self, monkeypatch):
+        # the quotient of 1 - (y2/y1)^1000 by 1 - y2/y1, on packed keys: 1000
+        # terms pass at bound 1000 and are refused at 999, naming the bound
+        b = 1 << 16
+        dividend, d = {0: 1, 1000 * (b - 1): -1}, b - 1
+        monkeypatch.setattr(laurent, "MAX_TERMS", 1000)
+        assert gkm._divide_binomial(dividend, d, 2000) == {k * d: 1 for k in range(1000)}
+        monkeypatch.setattr(laurent, "MAX_TERMS", 999)
+        with pytest.raises(LimitExceededError, match="term bound MAX_TERMS = 999$"):
+            gkm._divide_binomial(dividend, d, 2000)
 
 
 class TestWeightCommands:
@@ -691,6 +703,15 @@ class TestWeightDigitBound:
             with pytest.raises(LimitExceededError, match="MAX_WEIGHT_DIGITS = 800"):
                 kirwan.WeightVector(entries)
         assert kirwan.WeightVector((big - 1, 0, 1 - big)).format() == f"{big - 1},0,-{big - 1}"
+
+    def test_library_reads_the_bound_when_it_runs(self, monkeypatch):
+        monkeypatch.setattr(kirwan, "MAX_WEIGHT_DIGITS", 900)
+        big = 10**850  # 851 digits
+        assert kirwan.WeightVector((big, -big)).entries == (big, -big)
+        monkeypatch.setattr(kirwan, "MAX_WEIGHT_DIGITS", 700)
+        big = 10**750  # 751 digits
+        with pytest.raises(LimitExceededError, match="MAX_WEIGHT_DIGITS = 700 in its numerator"):
+            kirwan.WeightVector((big, -big))
 
     def test_sum_message_prints_the_vector(self, capsys):
         code, _, err = run(capsys, "regular", "--lambda", "1,0,0", "--mu", "0,0,0")

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from kflag import ddo, groth
+from kflag import groth, laurent
 from kflag.ddo import delta, pi
 from kflag.errors import InvalidInputError, LimitExceededError
 from kflag.laurent import MAX_TERMS, LaurentPoly
@@ -249,20 +249,23 @@ class TestTermBound:
         # each x1^2 * y1^j writes 3 summands under pi_1, the four write 12
         n = 2
         f = sum(LaurentPoly.monomial(n, 1, (2, 0), (j, 0)) for j in range(4))
-        monkeypatch.setattr(ddo, "MAX_TERMS", 11)
-        with pytest.raises(LimitExceededError, match="at least 12 terms"):
+        # the oracle divides with exact_div, which reads the bound too
+        expected = pi_by_division(1, f).terms
+        monkeypatch.setattr(laurent, "MAX_TERMS", 11)
+        bound = "at least 12 terms, over the term bound MAX_TERMS = 11$"
+        with pytest.raises(LimitExceededError, match=bound):
             pi(1, f)
-        monkeypatch.setattr(ddo, "MAX_TERMS", 12)
-        assert pi(1, f).terms == pi_by_division(1, f).terms
+        monkeypatch.setattr(laurent, "MAX_TERMS", 12)
+        assert pi(1, f).terms == expected
 
     def test_fixed_summands_alone_pass_the_bound(self, monkeypatch):
         # x1^k * x2^k is its own image under pi_1: only fixed summands
         n = 2
         f = sum(LaurentPoly.monomial(n, 1, (k, k)) for k in range(4))
-        monkeypatch.setattr(ddo, "MAX_TERMS", 3)
+        monkeypatch.setattr(laurent, "MAX_TERMS", 3)
         with pytest.raises(LimitExceededError, match="at least 4 terms"):
             pi(1, f)
-        monkeypatch.setattr(ddo, "MAX_TERMS", 4)
+        monkeypatch.setattr(laurent, "MAX_TERMS", 4)
         assert pi(1, f) == f
 
     def test_refuses_exactly_past_the_count(self, monkeypatch):
@@ -270,10 +273,10 @@ class TestTermBound:
             for i in range(1, n):
                 for op, shift in ((pi, 1), (delta, 0)):
                     count = self.written(i, f, shift)
-                    monkeypatch.setattr(ddo, "MAX_TERMS", count)
+                    monkeypatch.setattr(laurent, "MAX_TERMS", count)
                     out = op(i, f).terms
                     assert out == divided_difference_by_terms(i, f, shift).terms
-                    monkeypatch.setattr(ddo, "MAX_TERMS", count - 1)
+                    monkeypatch.setattr(laurent, "MAX_TERMS", count - 1)
                     with pytest.raises(LimitExceededError):
                         op(i, f)
 

@@ -30,8 +30,6 @@ from kflag.groth import grothendieck, permuted_grothendieck, top
 from kflag.kirwan import _y_runs
 from kflag.laurent import (
     LaurentPoly,
-    _is_permute_y,
-    _swap_fixes,
     canonical_zero_test,
     elementary_symmetric,
 )
@@ -124,6 +122,30 @@ class TestRestrictAll:
             diff = elementary_symmetric(i, "x", 3) - elementary_symmetric(i, "y", 3)
             alpha = restrict_all(diff)
             assert all(poly.is_zero for poly in alpha.entries.values())
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_the_bound_counts_each_node_once(self, monkeypatch, n):
+        # the constant 5 keeps every node nonzero, so a count that skips a
+        # node stays under the bound; x1 alone stops the walk at depth 1
+        rng = random.Random(140 + n)
+        x1, y1, y2 = LaurentPoly.x(n, 1), yv(n, 1), yv(n, 2)
+        u = rng.choice(list(all_permutations(n)))
+        polys = [3 * x1 * x1 * y2 - x1 * y1 + 5, grothendieck(u) * (y1 - 2) + 5]
+        polys.append(random_laurent(rng, n, 12) + 5)
+        for f in polys:
+            expected = restrict_all(f)
+            entries = expected.entries.values()
+            total = sum(len(p.terms) for p in {id(p): p for p in entries}.values())
+            if f is polys[0]:
+                # a count per point would pass the bound
+                assert sum(len(p.terms) for p in entries) > total
+            monkeypatch.setattr(laurent, "MAX_TERMS", total)
+            assert restrict_all(f).entries == expected.entries
+            monkeypatch.setattr(laurent, "MAX_TERMS", total - 1)
+            bound = rf"at least {total} terms, over the term bound MAX_TERMS = {total - 1}$"
+            with pytest.raises(LimitExceededError, match=bound):
+                restrict_all(f)
+            monkeypatch.undo()
 
     def test_validation_rejects_partial_classes(self):
         entries = {z: LaurentPoly.zero(3) for z in all_permutations(3)}
@@ -1018,20 +1040,6 @@ class TestClassSupport:
                 assert permute_y_by_terms(Permutation.simple(n, j), g) == g
             assert_coset_support_matches(g)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_swap_check_is_the_relabel_check(self, n):
-        polys = [grothendieck(u) for u in all_permutations(n)]
-        if n > 1:
-            polys += [f for pair in seeded_polynomials(n) for f in pair[:2]]
-        fixing = 0
-        for f in polys:
-            for j in range(1, n):
-                fixes = _is_permute_y(Permutation.simple(n, j), f, f)
-                assert _swap_fixes(j, f) == fixes, (f, j)
-                fixing += fixes
-        # both answers occur (S_1 has no swap)
-        assert 0 < fixing < len(polys) * (n - 1) or n == 1
-
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_zero_and_a_constant(self, n):
         assert gkm._coset_support(LaurentPoly.zero(n)) == frozenset()
@@ -1052,7 +1060,7 @@ class TestClassSupport:
     def test_claiming_every_swap_fixes_fails(self, monkeypatch, n):
         # the mutation: the detection finds one run of all n slots for every f
         truth = {u: support(grothendieck(u)) for u in all_permutations(n)}
-        monkeypatch.setattr(gkm, "_swap_fixes", lambda j, f: True)
+        monkeypatch.setattr(gkm, "_is_permute_y", lambda sigma, f, g: True)
         longest = Permutation.longest(n)
         for u, supp in truth.items():
             got = gkm._coset_support(grothendieck(u))

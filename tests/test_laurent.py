@@ -2,6 +2,7 @@ import io
 import json
 import pickle
 import random
+import signal
 import time
 from fractions import Fraction
 
@@ -296,6 +297,46 @@ class TestExactDiv:
         f = LaurentPoly.monomial(2, 1, xexp=(-1, 0)) - xv(2, 2) * LaurentPoly.monomial(2, 1, xexp=(-2, 0))
         q = exact_div(f, xv(2, 1) - xv(2, 2))
         assert q == LaurentPoly.monomial(2, 1, xexp=(-2, 0))
+
+
+class TestQuotientBound:
+    """exact_div refuses a quotient q once len(q) * len(g), the summands of
+    the check product q * g, passes MAX_TERMS."""
+
+    @pytest.mark.parametrize("power, g", [(10, (1, -1)), (21, (1, 1, 1))], ids=["x-1", "x2+x+1"])
+    def test_quotient_at_the_bound_passes(self, monkeypatch, power, g):
+        # x1^power - 1 by x1 - 1 (10 quotient terms) and by x1^2 + x1 + 1 (14)
+        g = LaurentPoly(2, {(len(g) - 1 - k, 0, 0, 0): c for k, c in enumerate(g)})
+        f = LaurentPoly.monomial(2, 1, (power, 0)) - 1
+        q = exact_div(f, g)
+        bound = len(q.terms) * len(g.terms)
+        assert bound in (20, 42)
+        monkeypatch.setattr(laurent, "MAX_TERMS", bound)
+        assert exact_div(f, g) == q
+        monkeypatch.setattr(laurent, "MAX_TERMS", bound - 1)
+        with pytest.raises(LimitExceededError, match=rf"term bound MAX_TERMS = {bound - 1}$"):
+            exact_div(f, g)
+
+    def test_huge_quotient_refused(self):
+        # x1^(10^9) - 1 by x1 - 1 would hold 10^9 terms; an unbounded
+        # division is stopped by the alarm after 5 s, before it fills memory
+        f = LaurentPoly.monomial(2, 1, (10**9, 0)) - 1
+
+        def stop(signum, frame):
+            raise TimeoutError("exact_div ran for 5 s without refusing")
+
+        previous = signal.signal(signal.SIGALRM, stop)
+        signal.setitimer(signal.ITIMER_REAL, 5)
+        try:
+            with pytest.raises(
+                LimitExceededError,
+                match=rf"over 500000 terms: its product with the 2-term divisor would pass"
+                rf" the term bound MAX_TERMS = {MAX_TERMS}$",
+            ):
+                exact_div(f, xv(2, 1) - 1)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestCanonicalZeroTest:
