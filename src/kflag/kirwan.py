@@ -546,7 +546,6 @@ class Presentation:
     """
 
     n: int
-    variables: tuple[str, ...]
     ideal_i: tuple[LaurentPoly, ...]
     det_relation: LaurentPoly
     kernel: tuple[KernelGenerator, ...]
@@ -575,11 +574,8 @@ def presentation(lam: WeightVector, mu: WeightVector) -> Presentation:
     """Assemble the full generators-and-relations presentation for (lam, mu)."""
     kernel = kernel_generators(lam, mu)
     n = lam.n
-    variables = tuple(f"x{i}" for i in range(1, n + 1)) + tuple(
-        f"y{i}" for i in range(1, n + 1)
-    )
     ideal = tuple(
         elementary_symmetric(i, "x", n) - elementary_symmetric(i, "y", n)
         for i in range(1, n + 1)
     )
-    return Presentation(n, variables, ideal, det_relation(n), kernel)
+    return Presentation(n, ideal, det_relation(n), kernel)

@@ -456,13 +456,14 @@ def recompose_by_points(coeffs: dict, gamma: Permutation, n: int) -> dict:
 # -- the support sweep pair by pair ------------------------------------------------
 
 
-def sweep_by_pairs(n: int) -> gkm.SweepReport:
-    """The report of ``gkm.verify_support_theorem(n)``, decided pair by pair.
+def sweep_by_pairs(n: int) -> list[dict]:
+    """The JSON objects of ``kflag verify --n n --json``, decided pair by pair.
 
     Each pair (w, gamma) relabels supp(G_u) and [e, u], u = gamma^{-1}w, by
     gamma, sorts both lists and compares them point by point over S_n in
-    lexicographic order. Supports are read through ``gkm.support`` at call
-    time, so a test can patch it with the same change it makes to
+    lexicographic order; a pair whose sets differ lists each such point as a
+    counterexample. Supports are read through ``gkm.support`` at call time,
+    so a test can patch it with the same change it makes to
     ``gkm._coset_support``, which the library reads; the intervals come from
     the subword criterion.
     """
@@ -471,20 +472,29 @@ def sweep_by_pairs(n: int) -> gkm.SweepReport:
         u: {z.images for z in gkm.support(grothendieck(Permutation(u)))} for u in universe
     }
     intervals = {u: [v for v in universe if subword_bruhat_leq(v, u)] for u in universe}
-    checks = []
+    objs = []
     for w in universe:
         for gamma in universe:
             u = t_compose(t_inverse(gamma), w)
-            supp = tuple(sorted(t_compose(gamma, z) for z in supports[u]))
-            interval = tuple(sorted(t_compose(gamma, v) for v in intervals[u]))
+            supp = sorted(t_compose(gamma, z) for z in supports[u])
+            interval = sorted(t_compose(gamma, v) for v in intervals[u])
+            obj = {
+                "w": list(w),
+                "gamma": list(gamma),
+                "pass": supp == interval,
+                "support": [list(z) for z in supp],
+                "bruhat_interval": [list(z) for z in interval],
+            }
             nonzero, inside = set(supp), set(interval)
-            ces = tuple(
-                gkm.Counterexample(z, z in nonzero, z in inside)
+            ces = [
+                {"z": list(z), "restriction_nonzero": z in nonzero, "in_interval": z in inside}
                 for z in universe
                 if (z in nonzero) != (z in inside)
-            )
-            checks.append(gkm.PairCheck(w, gamma, supp == interval, supp, interval, ces))
-    return gkm.SweepReport(n, checks)
+            ]
+            if ces:
+                obj["counterexamples"] = ces
+            objs.append(obj)
+    return objs
 
 
 # -- kernel soundness point by point ---------------------------------------------

@@ -292,6 +292,38 @@ class TestVerify:
         assert entry["pass"] is True
         assert entry["support"] == entry["bruhat_interval"] == [[1, 2]]
 
+    @pytest.fixture
+    def drop_base_point(self, monkeypatch):
+        # drop u = 2,1,3 from supp(G_u): the six pairs with gamma^-1 w = u fail,
+        # each missing its own w from the support
+        u = Permutation((2, 1, 3))
+        coset_support = gkm._coset_support
+
+        def dropped(f):
+            supp = coset_support(f)
+            return supp - {u} if f == groth.grothendieck(u) else supp
+
+        monkeypatch.setattr(gkm, "_coset_support", dropped)
+
+    def test_a_failing_pair_exits_5(self, capsys, drop_base_point):
+        code, out, _ = run(capsys, "verify", "--n", "3")
+        assert code == 5
+        lines = out.splitlines()
+        failed = [line for line in lines if line.startswith("FAIL")]
+        assert len(failed) == 6
+        assert failed[0] == "FAIL w=1,2,3 gamma=2,1,3"
+        assert lines[-1] == "checked 36 pairs: 6 failures"
+
+    def test_a_failing_pair_writes_its_counterexamples(self, capsys, drop_base_point):
+        code, out, _ = run(capsys, "verify", "--n", "3", "--json")
+        assert code == 5
+        failed = [entry for entry in json.loads(out) if not entry["pass"]]
+        assert len(failed) == 6
+        for entry in failed:
+            assert entry["counterexamples"] == [
+                {"z": entry["w"], "restriction_nonzero": False, "in_interval": True}
+            ]
+
 
 class TestDecompose:
     def test_basis_roundtrip_via_files(self, capsys, tmp_path):

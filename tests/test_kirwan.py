@@ -914,7 +914,6 @@ class TestPresentation:
         pres = presentation(lam, mu)
         assert len(pres.ideal_i) == pres.n == 3
         assert pres.det_relation == det_relation(3)
-        assert pres.variables == ("x1", "x2", "x3", "y1", "y2", "y3")
 
     def test_ideal_members_match_symmetric_differences(self):
         lam, mu = W("1,0,-1"), W("1/4,1/8,-3/8")
