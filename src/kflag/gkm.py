@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from itertools import count, islice, permutations, repeat
 from math import factorial
 from operator import add, countOf, itemgetter, mul
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     InternalInvariantError,
@@ -117,7 +117,7 @@ def _packed_restrictions(
     f: LaurentPoly, det: bool, base: int | None = None, tied: frozenset[int] = frozenset()
 ) -> Iterator[tuple]:
     """(prefix, free, keys, coeffs) once per node where the walk stops, in
-    lexicographic order of the points below; _spread expands them to points.
+    lexicographic order of the points below: factorial(len(free)) of them.
 
     At every point below the node, prefix (the values placed so far) then an
     order of free (the rest, increasing), the restriction of f (with det,
@@ -177,19 +177,19 @@ def _nonzero_at(keys: Sequence[int], coeffs: Sequence[int]) -> bool:
     return any(_sums(keys, coeffs).values())
 
 
-def _spread(nodes: Iterator[tuple], value: Callable) -> Iterator:
-    """value(keys, coeffs) of each node, once per point below it, in lexicographic order of z."""
-    for _, free, keys, coeffs in nodes:
-        yield from repeat(value(keys, coeffs), factorial(len(free)))
-
-
-class _Decoder(dict):
-    """Packed y-only key -> exponent tuple (zeros, then the n balanced digits
-    in base b); each key is decoded on its first lookup."""
+class _YKeys(dict):
+    """Packed y-keys at rank n in base b, a power of two: y^e packs as sum_j e_j * b^j
+    (j from 0), each e_j a balanced digit in (-b/2, b/2). Maps a key to its exponent
+    tuple (zeros, then the n digits), decoding each key on its first lookup."""
 
     def __init__(self, n: int, b: int):
         super().__init__()
         self.n, self.b = n, b
+        self.weights = [b**j for j in range(n)]
+
+    def pack(self, f: LaurentPoly) -> dict[int, int]:
+        """The terms of the y-only polynomial f on packed keys."""
+        return {sum(map(mul, key[self.n :], self.weights)): c for key, c in f.terms.items()}
 
     def __missing__(self, k: int) -> tuple[int, ...]:
         n, b = self.n, self.b
@@ -216,12 +216,15 @@ class RestrictionClass:
     entries: dict[Permutation, LaurentPoly]
 
     def __post_init__(self) -> None:
-        expected = {w for w in all_permutations(self.n)}
-        if set(self.entries) != expected:
+        if type(self.entries) is not dict:
+            raise InvalidInputError(f"entries must be a dict, not {type(self.entries).__name__}")
+        if set(self.entries) != set(all_permutations(self.n)):
             raise InvalidInputError(
                 f"restriction class must have one entry per element of S_{self.n}"
             )
         for z, poly in self.entries.items():
+            if not isinstance(poly, LaurentPoly):
+                raise InvalidInputError(f"entry at {z} is not a LaurentPoly")
             if poly.n != self.n:
                 raise InvalidInputError(f"entry at {z} has rank {poly.n}, expected {self.n}")
             if not poly.is_y_only():
@@ -242,12 +245,9 @@ def restrict_all(f: LaurentPoly) -> RestrictionClass:
     once; its points share one LaurentPoly object, which must not be mutated. The
     nonzero sums of the nodes are counted before each is decoded: past
     laurent.MAX_TERMS, the call raises LimitExceededError."""
-    decoded = _Decoder(f.n, _packing_base(f))
-    nodes = _packed_restrictions(f, False, decoded.b)
-    written = 0
-
-    def entry(keys: Sequence[int], coeffs: Sequence[int]) -> LaurentPoly:
-        nonlocal written
+    ykeys = _YKeys(f.n, _packing_base(f))
+    polys, written = [], 0
+    for _, free, keys, coeffs in _packed_restrictions(f, False, ykeys.b):
         sums = _sums(keys, coeffs)
         written += len(sums) - countOf(sums.values(), 0)
         if written > laurent.MAX_TERMS:
@@ -255,9 +255,7 @@ def restrict_all(f: LaurentPoly) -> RestrictionClass:
                 f"the restrictions would hold at least {written} terms,"
                 f" over the term bound MAX_TERMS = {laurent.MAX_TERMS}"
             )
-        return decoded.poly(sums)
-
-    polys = _spread(nodes, entry)
+        polys += repeat(ykeys.poly(sums), factorial(len(free)))
     return RestrictionClass._raw(f.n, dict(zip(all_permutations(f.n), polys)))
 
 
@@ -265,8 +263,12 @@ def support(f: LaurentPoly) -> SupportSet:
     """Fixed points where the restriction of f is nonzero modulo the determinant relation."""
     # one test per point, not per node, until the benchmark counts node tests:
     # bench/test_bench.py pins 6 _nonzero_at calls for G_213 (5 nodes)
-    rows = _spread(_packed_restrictions(f, True), lambda k, c: (k, c))
-    return frozenset(z for z, (k, c) in zip(all_permutations(f.n), rows) if _nonzero_at(k, c))
+    points, found = all_permutations(f.n), []
+    for _, free, keys, coeffs in _packed_restrictions(f, True):
+        for z in islice(points, factorial(len(free))):
+            if _nonzero_at(keys, coeffs):
+                found.append(z)
+    return frozenset(found)
 
 
 def _coset_support(f: LaurentPoly) -> SupportSet:
@@ -423,15 +425,9 @@ def _solve_base(m: int, n: int, rounds: int) -> tuple[int, int]:
     return bound, 1 << (8 * bound).bit_length()
 
 
-def _pack(f: LaurentPoly, weights: Sequence[int]) -> dict[int, int]:
-    """The terms of a y-only polynomial, y^e packed as sum_j e_j * weights[j]."""
-    n = f.n
-    return {sum(map(mul, key[n:], weights)): c for key, c in f.terms.items()}
-
-
 def _add_product(entries: list[dict[int, int]], a: dict[int, int], f: LaurentPoly, b: int) -> None:
-    """entries[z] += a * (f at z) for every z in S_n, in lexicographic order, on packed
-    keys with base b, in place, once per stopped node; entries may be left at 0. A node
+    """entries[z] += a * (f at z) for every z in S_n, in lexicographic order, on the y-keys
+    of _YKeys(n, b), in place, once per stopped node; entries may be left at 0. A node
     writes len(a) products per nonzero sum at each point below it, counted before it
     writes: past laurent.MAX_TERMS, the one term bound that every product and
     quotient reads, the call raises LimitExceededError."""
@@ -519,17 +515,16 @@ def decompose(alpha: RestrictionClass, gamma: Permutation) -> dict[Permutation, 
     perms = list(all_permutations(n))
     polys = [alpha.entries[z] for z in perms]
     bound, b = _solve_base(_max_exponent(polys), n, n * (n - 1) // 2 + 1)
-    weights = [b**j for j in range(n)]
-    residue = [_pack(f, weights) for f in polys]
+    ykeys = _YKeys(n, b)
+    residue = list(map(ykeys.pack, polys))
     ginv = gamma.inverse().images
     diagonal = []
     for w in perms:
         u = [ginv[v - 1] for v in w.images]
         diagonal.append([
-            weights[w.images[j] - 1] - weights[w.images[i] - 1]
+            ykeys.weights[w.images[j] - 1] - ykeys.weights[w.images[i] - 1]
             for i in range(n) for j in range(i + 1, n) if u[i] < u[j]
         ])
-    decoded = _Decoder(n, b)
     coeffs: dict[Permutation, LaurentPoly] = {}
     # fewest binomials first is descending length of gamma^{-1}w
     for i in sorted(range(len(perms)), key=lambda i: (len(diagonal[i]), i)):
@@ -546,9 +541,9 @@ def decompose(alpha: RestrictionClass, gamma: Permutation) -> dict[Permutation, 
                 f"residue at {w} is not divisible by the diagonal restriction"
             ) from exc
         _add_product(residue, {k: -c for k, c in q.items()}, permuted_grothendieck(w, gamma), b)
-        coeffs[w] = decoded.poly(q)
+        coeffs[w] = ykeys.poly(q)
     for z, res in zip(perms, residue):
-        if any(res.values()) and not canonical_zero_test(decoded.poly(res)):
+        if any(res.values()) and not canonical_zero_test(ykeys.poly(res)):
             raise InternalInvariantError(f"nonzero residue left at {z} after the solve")
     return coeffs
 
@@ -573,10 +568,9 @@ def recompose(
         if not c.is_zero:
             items.append((w, c))
     _, b = _solve_base(_max_exponent(c for _, c in items), n, 1)
-    weights = [b**j for j in range(n)]
+    ykeys = _YKeys(n, b)
     perms = list(all_permutations(n))
     entries: list[dict[int, int]] = [{} for _ in perms]
     for w, c in items:
-        _add_product(entries, _pack(c, weights), permuted_grothendieck(w, gamma), b)
-    decoded = _Decoder(n, b)
-    return RestrictionClass._raw(n, {z: decoded.poly(acc) for z, acc in zip(perms, entries)})
+        _add_product(entries, ykeys.pack(c), permuted_grothendieck(w, gamma), b)
+    return RestrictionClass._raw(n, {z: ykeys.poly(acc) for z, acc in zip(perms, entries)})

@@ -117,10 +117,11 @@ class WeightVector:
     entries: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        try:
-            entries = tuple(map(_weight_entry, self.entries))
-        except TypeError as exc:
-            raise InvalidInputError("weight entries must be a sequence") from exc
+        if not isinstance(self.entries, (list, tuple)):
+            raise InvalidInputError(
+                "weight entries must be a list or a tuple; text goes through WeightVector.parse"
+            )
+        entries = tuple(map(_weight_entry, self.entries))
         object.__setattr__(self, "entries", entries)
         if len(entries) < 1:
             raise InvalidInputError("weight vector must have at least one entry")

@@ -47,10 +47,13 @@ class LaurentPoly:
 
     def __init__(self, n: int, terms: Mapping[tuple[int, ...], int] | None = None):
         _check_rank(n)
+        if terms is not None and not isinstance(terms, Mapping):
+            raise InvalidInputError(f"terms must be a mapping, not {type(terms).__name__}")
         clean: dict[tuple[int, ...], int] = {}
         if terms:
             for key, coeff in terms.items():
-                key = tuple(key)
+                if type(key) is not tuple:
+                    raise InvalidInputError(f"exponent key {key!r} is not a tuple")
                 # integers only: a boolean exponent would serialise as true
                 if len(key) != 2 * n or not all(type(e) is int for e in key):
                     raise InvalidInputError(f"exponent key {key!r} does not fit rank {n}")

@@ -159,6 +159,14 @@ class TestRestrictAll:
         with pytest.raises(InvalidInputError):
             RestrictionClass(3, entries)
 
+    def test_validation_rejects_entries_outside_a_dict(self):
+        with pytest.raises(InvalidInputError, match="^entries must be a dict, not list$"):
+            RestrictionClass(1, [(Permutation((1,)), LaurentPoly.one(1))])
+
+    def test_validation_rejects_entries_that_are_not_polynomials(self):
+        with pytest.raises(InvalidInputError, match="^entry at 1 is not a LaurentPoly$"):
+            RestrictionClass(1, {Permutation((1,)): 0})
+
     def test_library_classes_pass_public_validation(self):
         # restrict_all and recompose skip the checks of RestrictionClass(...);
         # what they build must pass them
@@ -939,6 +947,27 @@ class TestNodeOutput:
         if n < 5:  # rank 5: TestPackedSolve.test_seeded_gamma_rank_five
             assert alpha.entries == recompose_by_points(coeff_map, gamma, n)
             assert coeffs == decompose_by_points(alpha, gamma)
+
+
+class TestYKeys:
+    """_YKeys, the one owner of the packed y-key format, on its own."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_pack_then_decode_round_trips(self, n):
+        rng = random.Random(500 + n)
+        for m in (1, 3, 1000):
+            _, b = gkm._solve_base(m, n, 0)
+            keys = gkm._YKeys(n, b)
+            assert keys.weights == [b**j for j in range(n)]
+            # exponents up to +-m, both extremes reached
+            extremes = LaurentPoly.monomial(n, 3, yexp=[m] + [-m] * (n - 1))
+            f = wide_y_laurent(rng, n, m, 8) + extremes
+            assert exponent_size([f]) == m
+            packed = keys.pack(f)
+            assert len(packed) == len(f.terms)
+            assert keys.poly(packed) == f
+            for k in packed:
+                assert keys[k] is keys[k]
 
 
 def tied_values(u):

@@ -141,6 +141,16 @@ class TestWeightVector:
         with pytest.raises(InvalidInputError, match="is not an int, a Fraction or text"):
             WeightVector(entries)
 
+    @pytest.mark.parametrize(
+        "entries",
+        ["00", "0", b"\x00\x00", {1: "a", -1: "b"}, {1, -1}],
+        ids=["text", "one-character", "bytes", "dict", "set"],
+    )
+    def test_only_lists_and_tuples_are_entries(self, entries):
+        # text is parsed by WeightVector.parse, never split into characters
+        with pytest.raises(InvalidInputError, match="a list or a tuple; .*WeightVector.parse"):
+            WeightVector(entries)
+
     def test_ints_and_fractions_pass(self):
         assert WeightVector((1, 0, -1)).entries == (1, 0, -1)
         assert WeightVector((Fraction(1, 3), 0, Fraction(-1, 3))).format() == "1/3,0,-1/3"

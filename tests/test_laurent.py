@@ -76,6 +76,17 @@ class TestBasics:
         with pytest.raises(InvalidInputError):
             LaurentPoly(1, {(True, 0): 1})
 
+    @pytest.mark.parametrize("terms", [[((0, 0, 0, 0), 1)], "ab"], ids=["pairs", "text"])
+    def test_terms_must_be_a_mapping(self, terms):
+        with pytest.raises(InvalidInputError, match="^terms must be a mapping, not "):
+            LaurentPoly(2, terms)
+
+    @pytest.mark.parametrize("key", [frozenset({0, 1}), range(2)], ids=["set", "range"])
+    def test_exponent_keys_must_be_tuples(self, key):
+        # only a tuple is an exponent key: a set has no order to read slots from
+        with pytest.raises(InvalidInputError, match=r"is not a tuple$"):
+            LaurentPoly(1, {key: 1})
+
     @pytest.mark.parametrize("n", [True, 2.0, Fraction(2)], ids=repr)
     def test_rank_must_be_an_int(self, n):
         builds = [
