@@ -13,13 +13,15 @@ c * x^alpha * y^beta with a = alpha_i and b = alpha_{i+1} maps to
 which holds for negative exponents too. For a >= b the k = a summand is
 the term itself, its fixed summand. The fixed summands go into the output
 first, each at its term's own key tuple, and only the summands
-k = b .. a - 1 are built. Assigning to a key already in a dict keeps the
-stored tuple. Given a pool (``groth`` passes its key pool, which maps each
-key of the cached classes to itself), a built summand new to the output,
-also a fixed key that cancelled and comes back, is stored as the pool's
-tuple, so the cached classes keep each monomial as one shared tuple. The
-terms and their integer sums are those of the formula; only the dict order
-differs from building every summand.
+k = b .. a - 1 are built, each a tuple of one list per term with its x_i
+and x_{i+1} exponents set to k and a + b - k (``delta`` lowers f so too).
+Assigning to a key already in a dict keeps the stored tuple. Given a pool
+(``groth`` passes its key pool, which maps each key of the cached classes
+to itself), a built summand new to the output, also a fixed key that
+cancelled and comes back, is stored as the pool's tuple, so the cached
+classes keep each monomial as one shared tuple. The terms and their
+integer sums are those of the formula; only the dict order differs from
+building every summand.
 
 The output is a right-sized copy of the dict ``pi`` fills. That dict grows
 by insertion and keeps a slot for each summand that cancelled, so its hash
@@ -65,7 +67,11 @@ def delta(i: int, f: LaurentPoly) -> LaurentPoly:
     """
     _check_index(i, f)
     lo = i - 1
-    lowered = {key[:lo] + (key[lo] - 1,) + key[i:]: c for key, c in f.terms.items()}
+    lowered = {}
+    for key, c in f.terms.items():
+        t = list(key)
+        t[lo] -= 1
+        lowered[tuple(t)] = c
     return pi(i, LaurentPoly._raw(f.n, lowered))
 
 
@@ -102,9 +108,11 @@ def pi(
         if written > bound:
             _refuse(i, written)
         total = a + b
-        head, tail = key[:lo], key[i + 1:]
+        t = list(key)
         for k in range(start, stop):
-            nk = head + (k, total - k) + tail
+            t[lo] = k
+            t[i] = total - k
+            nk = tuple(t)
             s = get(nk)
             if s is None:
                 out[intern(nk, nk)] = c

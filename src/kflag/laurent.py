@@ -22,8 +22,9 @@ from .errors import InvalidInputError, LimitExceededError, NotDivisibleError
 from .perm import Permutation, _check_rank
 
 #: Ceiling for the terms an operation may write: pi_1 on top(7) (484,912
-#: terms) writes 788,816 and peaks near 420 MB; 2,000,000 rank-2 terms peak
-#: near 940 MB. Every term budget of the package reads it here when it runs.
+#: terms) writes 788,816 and peaks near 420 MB through ``kflag ddo`` (170 MB
+#: for the call alone); 2,000,000 rank-2 terms peak near 940 MB through the
+#: CLI. Every term budget of the package reads it here when it runs.
 MAX_TERMS = 1_000_000
 
 #: Ceiling for the decimal digits of a coefficient that poly_from_json reads.

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 
@@ -117,6 +118,19 @@ class TestPi:
             assert pi(i, p * q_sym) == pi(i, p) * q_sym
 
 
+# under pi_1, x1^2 keeps itself; x1^3 x2^-1 reaches x1^2 with -1 and
+# cancels it, and x1^4 x2^-2 reaches it again with +1
+KEEP, CANCEL, REVIVE = (
+    LaurentPoly.monomial(3, c, x, (0, 1, -1))
+    for c, x in ((1, (2, 0, 0)), (-1, (3, -1, 0)), (1, (4, -2, 0)))
+)
+REVIVE_CORPUS = [
+    (3, g)
+    for f in (KEEP + CANCEL, KEEP + CANCEL + REVIVE, REVIVE + CANCEL + KEEP)
+    for g in (f, permute_x_by_terms(Permutation.longest(3), f))
+]
+
+
 class TestOperatorLaws:
     CORPUS = corpus(53, 100)
 
@@ -179,19 +193,13 @@ class TestClosedFormAgainstDivision:
                 self.assert_same(i, f)
 
     def test_cancelled_fixed_summands(self):
-        # under pi_1, x1^2 keeps itself; x1^3 x2^-1 reaches x1^2 with -1 and
-        # cancels it, and x1^4 x2^-2 reaches it again with +1
-        n, y = 3, (0, 1, -1)
-        keep = LaurentPoly.monomial(n, 1, (2, 0, 0), y)
-        cancel = LaurentPoly.monomial(n, -1, (3, -1, 0), y)
-        revive = LaurentPoly.monomial(n, 1, (4, -2, 0), y)
-        assert pi(1, keep + cancel) == -LaurentPoly.monomial(
-            n, 1, (-1, 3, 0), y
-        ) - LaurentPoly.monomial(n, 1, (3, -1, 0), y)
-        for f in (keep + cancel, keep + cancel + revive, revive + cancel + keep):
-            for g in (f, permute_x_by_terms(Permutation.longest(n), f)):
-                for i in (1, 2):
-                    self.assert_same(i, g)
+        y = (0, 1, -1)
+        assert pi(1, KEEP + CANCEL) == -LaurentPoly.monomial(
+            3, 1, (-1, 3, 0), y
+        ) - LaurentPoly.monomial(3, 1, (3, -1, 0), y)
+        for n, g in REVIVE_CORPUS:
+            for i in range(1, n):
+                self.assert_same(i, g)
 
     @pytest.mark.slow
     def test_rank_six_slice(self):
@@ -226,6 +234,46 @@ class TestFixedSummand:
                     fixed += 1
                     shared += stored[k] is k
         assert (fixed, shared) == (5145, 5145)
+
+
+class TestOutputOrder:
+    """pi and delta write their terms in a pinned order. The class cache's
+    order pins (test_groth) cover only the cached steps; these cover
+    negative exponents and fixed summands that cancel and come back. Each
+    digest is the sha256 of list(out.terms.items()) over every call."""
+
+    CALLS = [(i, f) for n, f in TestOperatorLaws.CORPUS + REVIVE_CORPUS for i in range(1, n)]
+    PI_SHA256 = "1dbe727c8d0324c4708c8553ec05ba578f3bdd99c0fe59abef0db9548dcc4ecb"
+    DELTA_SHA256 = "83c15515d0ccaec99abe40fb497e2df349f0de9aa50c6b7c3615c9025ef13412"
+
+    @staticmethod
+    def digest(outputs):
+        h = hashlib.sha256()
+        for out in outputs:
+            h.update(repr(list(out.terms.items())).encode())
+        return h.hexdigest()
+
+    def test_pi(self):
+        assert self.digest(pi(i, f) for i, f in self.CALLS) == self.PI_SHA256
+
+    def test_pi_with_a_fresh_pool(self):
+        outputs, revived = [], 0
+        for i, f in self.CALLS:
+            pool = {}
+            out = pi(i, f, pool)
+            stored = {k: k for k in f.terms}
+            # every key the call adds is the pool's object; a fixed summand
+            # that cancelled and came back is added too
+            for k in out.terms:
+                if stored.get(k) is not k:
+                    assert pool[k] is k
+                    revived += k in stored and k[i - 1] >= k[i]
+            outputs.append(out)
+        assert revived
+        assert self.digest(outputs) == self.PI_SHA256
+
+    def test_delta(self):
+        assert self.digest(delta(i, f) for i, f in self.CALLS) == self.DELTA_SHA256
 
 
 class TestTermBound:
