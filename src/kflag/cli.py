@@ -23,7 +23,6 @@ from .errors import (
     InternalInvariantError,
     InvalidInputError,
     KflagError,
-    NotDivisibleError,
     NotRegularError,
     SoundnessFailureError,
 )
@@ -331,7 +330,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             for wall in cert.walls:
                 print(f"  {_wall_line(wall)}", file=sys.stderr)
         return 3
-    except (InternalInvariantError, SoundnessFailureError, NotDivisibleError) as exc:
+    except (InternalInvariantError, SoundnessFailureError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
     except KflagError as exc:

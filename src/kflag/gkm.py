@@ -16,13 +16,14 @@ exponent is at most 2M in size (4M after the determinant shift), so every
 balanced digit lies inside (-B/2, B/2) and the packing is injective. By
 linearity, x_i -> y_j adds alpha_i * (W_y[j] - W_x[i]) to each key, one
 C-level pass per step. The walk fixes z(1), z(2), ... depth first in
-increasing order (lexicographic order of z, shared prefixes), and merges
-equal keys before each branching, so terms that cancel early (the top
-class once z(1) != 1) leave the walk. A node with no terms left, or no
-x-exponent left to substitute, stops; the walk yields it once, and every
-point below it has its terms. restrict_all, decompose and recompose sum each
-node once for its points, in packed keys, and decode only what they return;
-support(f) tests each point. ``restrict(f, z)`` at one point is the oracle.
+increasing order (lexicographic order of z, shared prefixes). It is the one
+place that merges: each node sums its equal keys once and goes on with the
+sums alone once a quarter of its terms merged, so terms that cancel early
+(the top class once z(1) != 1) leave the walk. A node with no nonzero
+term, or no x-exponent left to substitute, stops; the walk yields it once
+with its sums, which every point below it has. restrict_all, decompose and
+recompose read each node's sums once, in packed keys, and decode only what
+they return; support(f) tests each point. ``restrict(f, z)`` is the oracle.
 
 The sweep and kernel soundness read the support of a plain class G_u
 through _coset_support(G_u), which takes any polynomial f and walks one
@@ -115,15 +116,15 @@ def _sums(keys: Sequence[int], coeffs: Sequence[int]) -> dict[int, int]:
 
 def _packed_restrictions(
     f: LaurentPoly, det: bool, base: int | None = None, tied: frozenset[int] = frozenset()
-) -> Iterator[tuple]:
-    """(prefix, free, keys, coeffs) once per node where the walk stops, in
+) -> Iterator[tuple[tuple[int, ...], list[int], dict[int, int]]]:
+    """(prefix, free, sums) once per node where the walk stops, in
     lexicographic order of the points below: factorial(len(free)) of them.
 
     At every point below the node, prefix (the values placed so far) then an
     order of free (the rest, increasing), the restriction of f (with det,
-    modulo the determinant relation) is the sum of coeffs[t] * y^e over t,
-    where keys[t] packs e. Equal keys may repeat; the lists are shared and
-    must not be changed. base, if given, is a power of two at least
+    modulo the determinant relation) is the sum of c * y^e over the items
+    (k, c) of sums, where k packs e; zero coefficients may remain. Each node
+    gets a new dict. base, if given, is a power of two at least
     _packing_base(f). With tied, a set of values, the walk places a tied
     value j only after j - 1.
     """
@@ -143,20 +144,20 @@ def _packed_restrictions(
     xcols = [list(map(itemgetter(i), terms)) for i in range(n)]
 
     def walk(keys, coeffs, xcols, free, prefix):
-        if len(free) > 1:
-            # terms with equal keys agree at every point below: merge them
-            acc = _sums(keys, coeffs)
-            live = [k for k, c in acc.items() if c]
-            if len(live) < len(keys):
-                where = dict(zip(keys, count()))
-                rows = list(map(where.__getitem__, live))
-                coeffs = list(map(acc.__getitem__, live))
-                xcols = [list(map(col.__getitem__, rows)) for col in xcols]
-                keys = live
-        if not keys or not any(map(any, xcols)):
-            # nothing left to substitute: every point below gets these terms
-            yield prefix, free, keys, coeffs
+        # terms with equal keys agree at every point below: merge them
+        sums = _sums(keys, coeffs)
+        if not any(sums.values()) or not any(map(any, xcols)):
+            # all cancelled, or nothing to substitute: every point below gets these
+            yield prefix, free, sums
             return
+        live = [k for k, c in sums.items() if c]
+        if 4 * len(live) <= 3 * len(keys):
+            # compacting costs a pass over every term: it pays once a quarter merged
+            where = dict(zip(keys, count()))
+            rows = list(map(where.__getitem__, live))
+            coeffs = list(map(sums.__getitem__, live))
+            xcols = [list(map(col.__getitem__, rows)) for col in xcols]
+            keys = live
         col, rest = xcols[0], xcols[1:]
         moves, xw = any(col), xweights[n - len(free)]
         for j in free:
@@ -171,10 +172,10 @@ def _packed_restrictions(
     return walk(packed, list(f.terms.values()), xcols, list(range(1, n + 1)), ())
 
 
-def _nonzero_at(keys: Sequence[int], coeffs: Sequence[int]) -> bool:
+def _nonzero_at(sums: Mapping[int, int]) -> bool:
     """Whether the packed restriction at one fixed point has a nonzero coefficient;
     support makes one call per point, _coset_support one per stopped node."""
-    return any(_sums(keys, coeffs).values())
+    return any(sums.values())
 
 
 class _YKeys(dict):
@@ -241,14 +242,13 @@ class RestrictionClass:
 
 
 def restrict_all(f: LaurentPoly) -> RestrictionClass:
-    """Restrict at every fixed point of S_n. Each stopped node is summed and decoded
+    """Restrict at every fixed point of S_n. Each stopped node's sums are decoded
     once; its points share one LaurentPoly object, which must not be mutated. The
     nonzero sums of the nodes are counted before each is decoded: past
     laurent.MAX_TERMS, the call raises LimitExceededError."""
     ykeys = _YKeys(f.n, _packing_base(f))
     polys, written = [], 0
-    for _, free, keys, coeffs in _packed_restrictions(f, False, ykeys.b):
-        sums = _sums(keys, coeffs)
+    for _, free, sums in _packed_restrictions(f, False, ykeys.b):
         written += len(sums) - countOf(sums.values(), 0)
         if written > laurent.MAX_TERMS:
             raise LimitExceededError(
@@ -264,9 +264,9 @@ def support(f: LaurentPoly) -> SupportSet:
     # one test per point, not per node, until the benchmark counts node tests:
     # bench/test_bench.py pins 6 _nonzero_at calls for G_213 (5 nodes)
     points, found = all_permutations(f.n), []
-    for _, free, keys, coeffs in _packed_restrictions(f, True):
+    for _, free, sums in _packed_restrictions(f, True):
         for z in islice(points, factorial(len(free))):
-            if _nonzero_at(keys, coeffs):
+            if _nonzero_at(sums):
                 found.append(z)
     return frozenset(found)
 
@@ -285,8 +285,8 @@ def _coset_support(f: LaurentPoly) -> SupportSet:
         orders = list(permutations(range(a + 1, b + 1)))
         group = [g[: a + 1] + list(p) + g[b + 1 :] for g in group for p in orders]
     points = []
-    for prefix, free, keys, coeffs in _packed_restrictions(f, True, tied=tied):
-        if _nonzero_at(keys, coeffs):
+    for prefix, free, sums in _packed_restrictions(f, True, tied=tied):
+        if _nonzero_at(sums):
             # the images of the node under the group: each distinct placed
             # prefix, then every order of the values left
             moved = {tuple(map(g.__getitem__, prefix)): g for g in group}
@@ -434,8 +434,7 @@ def _add_product(entries: list[dict[int, int]], a: dict[int, int], f: LaurentPol
     pairs = list(a.items())
     points = iter(entries)
     written = 0
-    for _, free, fkeys, fcoeffs in _packed_restrictions(f, False, b):
-        sums = _sums(fkeys, fcoeffs)
+    for _, free, sums in _packed_restrictions(f, False, b):
         below = factorial(len(free))
         written += len(pairs) * (len(sums) - countOf(sums.values(), 0)) * below
         if written > laurent.MAX_TERMS:

@@ -91,8 +91,6 @@ def permuted_grothendieck(w: Permutation, gamma: Permutation) -> LaurentPoly:
     """
     if w.n != gamma.n:
         raise InvalidInputError(f"rank mismatch: {w.n} vs {gamma.n}")
-    if gamma.is_identity():
-        return grothendieck(w)
     return permute_y(gamma, grothendieck(gamma.inverse() * w))
 
 

@@ -863,9 +863,7 @@ class TestWalkEarlyStop:
         n = 4
         calls = []
         real = gkm._nonzero_at
-        monkeypatch.setattr(
-            gkm, "_nonzero_at", lambda keys, coeffs: calls.append(1) or real(keys, coeffs)
-        )
+        monkeypatch.setattr(gkm, "_nonzero_at", lambda sums: calls.append(1) or real(sums))
         f = make(n)
         assert support(f) == support_by_substitution(f)
         assert len(calls) == 24
@@ -874,15 +872,26 @@ class TestWalkEarlyStop:
         # x_2, ..., x_4 do not occur, so the walk stops after z(1)
         f = LaurentPoly.x(4, 1) - LaurentPoly.y(4, 2)
         nodes = list(gkm._packed_restrictions(f, False))
-        assert [(prefix, free) for prefix, free, _, _ in nodes] == [
+        assert [(prefix, free) for prefix, free, _ in nodes] == [
             ((j,), [v for v in range(1, 5) if v != j]) for j in range(1, 5)
         ]
         alpha = restrict_all(f)
-        for prefix, free, _, _ in nodes:
+        for prefix, free, _ in nodes:
             below = [alpha.entries[Permutation(prefix + rest)]
                      for rest in itertools.permutations(free)]
             assert len(below) == 6 and all(entry is below[0] for entry in below)
         assert_walk_matches_points(f)
+
+    def test_a_node_where_few_terms_merge_keeps_them(self):
+        # x_1 - y_1 cancels once z(1) = 1, 2 of 10 terms: too few to compact, so
+        # the cancelled pair walks on and the nodes below sum it to 0
+        terms = {(1, 0, 0, 0, 0, 0, 0, 0): 1, (0, 0, 0, 0, 1, 0, 0, 0): -1}
+        terms.update({(0, k, 0, 0, 0, 0, 1, 0): k for k in range(1, 9)})
+        f = LaurentPoly(4, terms)
+        nodes = list(gkm._packed_restrictions(f, False))
+        assert any(0 in sums.values() for prefix, _, sums in nodes if prefix[0] == 1)
+        assert restrict_all(f).entries == {z: restrict(f, z) for z in all_permutations(4)}
+        assert support(f) == support_by_substitution(f)
 
 
 # stopped nodes of the walks of G_u over u in S_n; relabelling y keeps the
@@ -890,37 +899,71 @@ class TestWalkEarlyStop:
 NODES = {3: 22, 4: 258, 5: 4409}
 
 
-def sums_from(monkeypatch, caller):
-    """A list that grows by one at each gkm._sums call made by the gkm function
-    named caller or by a function defined inside it."""
-    calls = []
-    real = gkm._sums
-    code = getattr(gkm, caller).__code__
-    codes = {code, *(c for c in code.co_consts if isinstance(c, types.CodeType))}
+class WalkSpy:
+    """What gkm's packed walk does: the prefix of the node at each gkm._sums call
+    the walk makes, the prefixes of the nodes each walk yields, and the names of
+    the functions that call gkm._sums outside the walk."""
 
-    def counted(keys, coeffs):
-        if sys._getframe(1).f_code in codes:
-            calls.append(1)
-        return real(keys, coeffs)
+    def __init__(self, monkeypatch):
+        self.summed, self.walks, self.outside = [], [], []
+        real_sums, real_walk = gkm._sums, gkm._packed_restrictions
+        (walk_code,) = (
+            c for c in real_walk.__code__.co_consts
+            if isinstance(c, types.CodeType) and c.co_name == "walk"
+        )
 
-    monkeypatch.setattr(gkm, "_sums", counted)
-    return calls
+        def sums(keys, coeffs):
+            frame = sys._getframe(1)
+            if frame.f_code is walk_code:
+                self.summed.append(frame.f_locals["prefix"])
+            else:
+                self.outside.append(frame.f_code.co_name)
+            return real_sums(keys, coeffs)
+
+        def walk(*args, **kwargs):
+            stopped = []
+            self.walks.append(stopped)
+            for node in real_walk(*args, **kwargs):
+                stopped.append(node[0])
+                yield node
+
+        monkeypatch.setattr(gkm, "_sums", sums)
+        monkeypatch.setattr(gkm, "_packed_restrictions", walk)
+
+    def clear(self):
+        self.summed.clear()
+        self.walks.clear()
+        self.outside.clear()
+
+    def assert_each_visited_node_summed_once(self):
+        # a walk visits its stopped nodes and their ancestors, the root included
+        visited = [p for stopped in self.walks
+                   for p in {q[:k] for q in stopped for k in range(len(q) + 1)}]
+        assert sorted(self.summed) == sorted(visited)
+        assert self.outside == []
 
 
 class TestNodeOutput:
-    """restrict_all, decompose and recompose read each stopped node of the walk once."""
+    """The walk sums each node it visits once, and hands restrict_all, decompose and
+    recompose each stopped node's sums, which they read as they are."""
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_restrict_all_sums_each_node_once(self, monkeypatch, n):
-        calls = sums_from(monkeypatch, "restrict_all")
+        spy = WalkSpy(monkeypatch)
         perms = list(all_permutations(n))
+        stopped = 0
         for u in perms:
             f = grothendieck(u)
+            spy.clear()
             alpha = restrict_all(f)
+            assert len(spy.walks) == 1
+            spy.assert_each_visited_node_summed_once()
             assert list(alpha.entries) == perms
             nodes = list(gkm._packed_restrictions(f, False))
+            assert [prefix for prefix, _, _ in nodes] == spy.walks[0]
+            stopped += len(nodes)
             # the points below one node hold the very same entry object
-            for prefix, free, _, _ in nodes:
+            for prefix, free, _ in nodes:
                 below = {id(alpha.entries[Permutation(prefix + rest)])
                          for rest in itertools.permutations(free)}
                 assert len(below) == 1
@@ -928,7 +971,7 @@ class TestNodeOutput:
             if n < 5:  # rank 5: TestPackedWalk.test_every_class_and_the_top_class
                 for z in perms:
                     assert alpha.entries[z] == restrict(f, z), (u, z)
-        assert len(calls) == NODES[n]
+        assert stopped == NODES[n]
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_products_sum_each_node_once(self, monkeypatch, n):
@@ -937,16 +980,37 @@ class TestNodeOutput:
         gamma = rng.choice(perms)
         # a nonzero coefficient at every w: one product per basis class
         coeff_map = {w: random_y_monomial(rng, n) for w in perms}
-        calls = sums_from(monkeypatch, "_add_product")
+        spy = WalkSpy(monkeypatch)
         alpha = recompose(coeff_map, gamma, n)
-        assert len(calls) == NODES[n]
-        calls.clear()
+        assert len(spy.walks) == len(perms)
+        assert sum(map(len, spy.walks)) == NODES[n]
+        spy.assert_each_visited_node_summed_once()
+        spy.clear()
         coeffs = decompose(alpha, gamma)
-        assert len(calls) == NODES[n]
+        assert len(spy.walks) == len(perms)
+        assert sum(map(len, spy.walks)) == NODES[n]
+        spy.assert_each_visited_node_summed_once()
         assert coeffs == coeff_map
         if n < 5:  # rank 5: TestPackedSolve.test_seeded_gamma_rank_five
             assert alpha.entries == recompose_by_points(coeff_map, gamma, n)
             assert coeffs == decompose_by_points(alpha, gamma)
+
+    @pytest.mark.parametrize(
+        "f",
+        [top(4), grothendieck(Permutation((2, 1, 4, 3))),
+         LaurentPoly.x(4, 1) - LaurentPoly.y(4, 2), LaurentPoly.one(4)],
+        ids=["top", "2143", "x1-y2", "constant"],
+    )
+    def test_each_node_gets_a_new_dict(self, f):
+        expected = {z: restrict(f, z) for z in all_permutations(f.n)}
+        first, held = [], []
+        for prefix, free, sums in gkm._packed_restrictions(f, False):
+            first.append((prefix, free, dict(sums)))
+            held.append(sums)
+            sums.clear()
+        assert len(set(map(id, held))) == len(held)
+        assert list(gkm._packed_restrictions(f, False)) == first
+        assert restrict_all(f).entries == expected
 
 
 class TestYKeys:
@@ -1101,9 +1165,7 @@ class TestClassSupport:
     def test_one_test_per_stopped_node(self, monkeypatch, n):
         calls = []
         real = gkm._nonzero_at
-        monkeypatch.setattr(
-            gkm, "_nonzero_at", lambda keys, coeffs: calls.append(1) or real(keys, coeffs)
-        )
+        monkeypatch.setattr(gkm, "_nonzero_at", lambda sums: calls.append(1) or real(sums))
         for u in all_permutations(n):
             f, tied = grothendieck(u), tied_values(u)
             nodes = list(gkm._packed_restrictions(f, True, tied=tied))
@@ -1111,7 +1173,7 @@ class TestClassSupport:
             # each node places a tied value only after the value below it, and
             # the representatives are the rule-abiding points below the nodes
             below = set()
-            for prefix, free, _, _ in nodes:
+            for prefix, free, _ in nodes:
                 assert all(j - 1 in prefix[: prefix.index(j)] for j in prefix if j in tied)
                 below |= {prefix + rest for rest in itertools.permutations(free)}
             assert {z.images for z in reps} <= below

@@ -126,6 +126,13 @@ class TestPermutedGrothendieck:
                 w, Permutation.identity(3)
             ) == groth.grothendieck(w)
 
+    def test_identity_gamma_returns_the_cached_class(self):
+        # permute_y returns its argument for the identity, so the plain class
+        # is shared, not copied
+        identity = Permutation.identity(4)
+        for w in all_permutations(4):
+            assert groth.permuted_grothendieck(w, identity) is groth.grothendieck(w)
+
     def test_paper_worked_example(self):
         w = Permutation((1, 3, 2))
         gamma = Permutation((2, 1, 3))
