@@ -36,11 +36,11 @@ _CYCLE_HINT = (
 )
 
 
-def _parse_permutation(text: str, n: int | None = None) -> Permutation:
+def _parse_permutation(text: str, n: int) -> Permutation:
     if text.strip().startswith("("):
         raise InvalidInputError(f"cannot parse {text!r}: {_CYCLE_HINT}")
     w = Permutation.from_one_line(text)
-    if n is not None and w.n != n:
+    if w.n != n:
         raise InvalidInputError(f"permutation {text!r} does not have rank {n}")
     return w
 
@@ -63,7 +63,7 @@ def _wall_line(wall: kirwan.WallHit) -> str:
 
 
 def _emit_json(tree, fh=None) -> None:
-    # the text of json.dumps(polys_to_json(tree), indent=2) plus a newline
+    # write_json's text plus a newline; poly_to_json reads the same text back
     if fh is None:
         fh = sys.stdout
     write_json(tree, fh)

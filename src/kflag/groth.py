@@ -46,7 +46,9 @@ def top(n: int) -> LaurentPoly:
     terms = {(0,) * (2 * n): 1}
     for i in range(n):
         for j in range(i + 1, n):
-            # terms * (1 - y_j/x_i) = terms - (terms shifted by y_j/x_i), 0-based i, j
+            # terms * (1 - y_j/x_i) = terms - (terms shifted by y_j/x_i), 0-based i, j.
+            # Nothing cancels: every coefficient has the sign (-1)^(y-degree),
+            # so a shifted -c has the sign of the term already at its key.
             out = dict(terms)
             get = out.get
             for key, c in terms.items():
@@ -54,11 +56,7 @@ def top(n: int) -> LaurentPoly:
                 k[i] -= 1
                 k[n + j] += 1
                 nk = tuple(k)
-                s = get(nk, 0) - c
-                if s:
-                    out[nk] = s
-                else:
-                    del out[nk]
+                out[nk] = get(nk, 0) - c
             terms = out
     return LaurentPoly._raw(n, terms)
 

@@ -51,7 +51,7 @@ from .laurent import (
     _is_permute_y,
     _slot_getter,
     elementary_symmetric,
-    polys_to_json,
+    poly_to_json,
 )
 from .perm import Permutation, _check_rank, act_on_weights, all_permutations
 
@@ -562,7 +562,7 @@ class Presentation:
         }
 
     def to_json_obj(self) -> dict:
-        return polys_to_json(self.json_tree())
+        return poly_to_json(self.json_tree())
 
 
 def det_relation(n: int) -> LaurentPoly:

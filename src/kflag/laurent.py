@@ -10,7 +10,9 @@ module (or the package) touches floating point.
 from __future__ import annotations
 
 import heapq
+import io
 import itertools
+import json
 import re
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
@@ -400,49 +402,37 @@ def canonical_zero_test(f: LaurentPoly) -> bool:
 # -- serialization -------------------------------------------------------------
 
 
-def poly_to_json(f: LaurentPoly) -> list[dict]:
-    """JSON term list in the canonical order; coefficients as decimal strings."""
-    n = f.n
-    return [
-        {"coeff": str(c), "x": list(key[:n]), "y": list(key[n:])}
-        for key, c in f.sorted_terms()
-    ]
+def poly_to_json(tree):
+    """The JSON value that write_json writes for tree, read back with json.loads.
 
-
-def polys_to_json(tree):
-    """tree with each LaurentPoly leaf replaced by its poly_to_json term list.
-
-    tree is made of dicts, lists, tuples and plain JSON values; tuples
-    become lists.
+    A LaurentPoly becomes its term list: canonical order, coefficients as
+    decimal strings. Tuples and iterators become lists.
     """
-    if isinstance(tree, LaurentPoly):
-        return poly_to_json(tree)
-    if isinstance(tree, dict):
-        return {k: polys_to_json(v) for k, v in tree.items()}
-    if isinstance(tree, (list, tuple)):
-        return [polys_to_json(v) for v in tree]
-    return tree
+    out = io.StringIO()
+    write_json(tree, out)
+    return json.loads(out.getvalue())
 
 
 def write_json(tree, fh) -> None:
-    """Write the text of json.dumps(polys_to_json(tree), indent=2) to fh.
+    """Write tree to fh as the text of json.dumps(tree, indent=2), with each
+    LaurentPoly leaf written as its term list: one {"coeff", "x", "y"} object
+    per term in sorted_terms() order, the coefficient as a decimal string.
 
     tree holds dicts with string keys, lists, tuples, strings, ints, booleans,
-    None and LaurentPoly leaves; a leaf is written from its terms, in
-    sorted_terms() order, without building poly_to_json(f). An iterator,
-    such as a map, is written as the list of its items, one item at a time,
-    so a caller can stream a long list without holding it. Within one call
-    the text after a coefficient is rendered once per exponent key and
-    depth, and a list or tuple of ints once per value and depth. The text
-    goes to fh in batches.
+    None and LaurentPoly leaves; no term list is built. An iterator, such as
+    a map, is written as the list of its items, one item at a time, so a
+    caller can stream a long list without holding it. Within one call the
+    text after a coefficient is rendered once per exponent key and depth,
+    and a list or tuple of ints once per value and depth. The text goes to
+    fh in batches.
 
-    >>> import io, json
-    >>> f = 3 - LaurentPoly.monomial(2, 10**20, (1, 0), (0, -1))
+    >>> f = 3 - LaurentPoly.monomial(1, 10**20, (1,), (-1,))
     >>> out = io.StringIO()
     >>> write_json({"poly": f, "k": map(abs, [1, -2]), "none": iter(()),
-    ...             "zero": LaurentPoly.zero(2)}, out)
-    >>> out.getvalue() == json.dumps(
-    ...     {"poly": poly_to_json(f), "k": [1, 2], "none": [], "zero": []}, indent=2)
+    ...             "zero": LaurentPoly.zero(1)}, out)
+    >>> out.getvalue() == json.dumps({"poly": [
+    ...     {"coeff": "-100000000000000000000", "x": [1], "y": [-1]},
+    ...     {"coeff": "3", "x": [0], "y": [0]}], "k": [1, 2], "none": [], "zero": []}, indent=2)
     True
     """
     parts: list[str] = []

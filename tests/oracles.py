@@ -19,7 +19,8 @@ through ``gkm.restrict``, without the library's packed-key walk. The
 support sweep decides every pair on its own instead of once per base class.
 Kernel soundness reads both sides of every inequality from ``eta_value`` at
 each support point, found by substitution, instead of one integer maximum
-per base class and cut.
+per base class and cut. JSON term lists are built as dicts for the stdlib
+encoder, without the library's writer.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from kflag.errors import InvalidInputError, NotDivisibleError, NotInSpanError
 from kflag.gkm import restrict
 from kflag.groth import grothendieck, permuted_grothendieck
 from kflag.kirwan import eta_value, moment_image
-from kflag.laurent import LaurentPoly, exact_div, polys_to_json
+from kflag.laurent import LaurentPoly, exact_div
 from kflag.perm import Permutation, all_permutations
 
 # -- tuple permutation helpers (1-based images, independent of kflag.perm) ------
@@ -510,6 +511,27 @@ def soundness_by_points(gen, lam, mu) -> list:
         for z in points
         for k in gen.witnesses
     ]
+
+
+# -- JSON term lists ---------------------------------------------------------------
+
+
+def polys_to_json(tree):
+    """tree with each LaurentPoly leaf replaced by its JSON term list, built as
+    dicts: descending key order, coefficients as decimal strings. Tuples
+    become lists. ``json.dumps(polys_to_json(tree), indent=2)`` is the byte
+    oracle of ``laurent.write_json``, which renders the text directly."""
+    if isinstance(tree, LaurentPoly):
+        n = tree.n
+        return [
+            {"coeff": str(tree.terms[key]), "x": list(key[:n]), "y": list(key[n:])}
+            for key in sorted(tree.terms, reverse=True)
+        ]
+    if isinstance(tree, dict):
+        return {k: polys_to_json(v) for k, v in tree.items()}
+    if isinstance(tree, (list, tuple)):
+        return [polys_to_json(v) for v in tree]
+    return tree
 
 
 # -- restriction-class files ------------------------------------------------------

@@ -24,12 +24,11 @@ from kflag.laurent import (
     LaurentPoly,
     poly_from_json,
     poly_to_json,
-    polys_to_json,
     render_poly,
 )
 from kflag.perm import Permutation
 
-from oracles import restriction_class_to_json
+from oracles import polys_to_json, restriction_class_to_json
 
 
 def run(capsys, *argv):
@@ -85,6 +84,23 @@ class TestInputValidation:
     def test_sweep_bound_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "--n", "7")
         assert code == 2
+
+    @pytest.mark.parametrize("case", ["unwritable-out", "duplicate-z"])
+    def test_refused_file_exits_2_with_a_message(self, capsys, tmp_path, case):
+        if case == "unwritable-out":
+            target = tmp_path / "missing" / "pres.json"
+            argv = ["presentation", "--lambda", "1/2,-1/2", "--mu", "0,0", "--out", str(target)]
+            message = f"error: cannot write {str(target)!r}: "
+        else:
+            data = restriction_class_to_json(restrict_all(top(2)))
+            data["entries"][1]["z"] = data["entries"][0]["z"]
+            class_file = tmp_path / "class.json"
+            class_file.write_text(json.dumps(data))
+            argv = ["decompose", "--n", "2", "--gamma", "1,2", "--class", str(class_file)]
+            message = "error: duplicate class entry at 1,2\n"
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(message)
 
 
 def _never(*args, **kwargs):
@@ -351,7 +367,7 @@ class TestDecompose:
         assert code == 0
         coeffs = decompose(alpha, Permutation((2, 3, 1)))
         expected = [
-            {"w": list(w.images), "coeff": poly_to_json(coeffs[w])}
+            {"w": list(w.images), "coeff": polys_to_json(coeffs[w])}
             for w in sorted(coeffs, key=lambda p: p.images)
         ]
         assert out == json.dumps(expected, indent=2) + "\n"
@@ -826,7 +842,7 @@ class TestCoefficientDigitBound:
                 assert out == "" and "MAX_COEFF_DIGITS = 4000" in err
             elif mode:
                 assert json.loads(out) == [
-                    {"w": [1, 2], "coeff": poly_to_json(LaurentPoly.const(2, c))},
+                    {"w": [1, 2], "coeff": polys_to_json(LaurentPoly.const(2, c))},
                     {"w": [2, 1], "coeff": []},
                 ]
             else:

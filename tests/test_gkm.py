@@ -572,6 +572,39 @@ class TestDecompose:
         with pytest.raises(InvalidInputError):
             decompose(alpha, Permutation.identity(3))
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            pytest.param(
+                lambda: RestrictionClass(
+                    2, {Permutation((1, 2)): LaurentPoly.zero(2), Permutation((2, 1)): yv(3, 1)}
+                ),
+                "entry at 2,1 has rank 3, expected 2",
+                id="class-entry-rank",
+            ),
+            pytest.param(
+                lambda: recompose({}, Permutation.identity(3), 2),
+                "rank mismatch: 2 vs 3",
+                id="recompose-gamma-rank",
+            ),
+            pytest.param(
+                lambda: recompose({Permutation((2, 1)): yv(3, 1)}, Permutation.identity(2), 2),
+                "coefficient at 2,1 has rank 3, expected 2",
+                id="recompose-coefficient-rank",
+            ),
+            pytest.param(
+                lambda: recompose(
+                    {Permutation((2, 1)): LaurentPoly.x(2, 1)}, Permutation.identity(2), 2
+                ),
+                "coefficient at 2,1 involves x-variables",
+                id="recompose-x-variables",
+            ),
+        ],
+    )
+    def test_malformed_class_or_coefficients_refused(self, build, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            build()
+
 
 class TestDecomposeAgainstPointRoute:
     """decompose and recompose against the routes that restrict point by point."""

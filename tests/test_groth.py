@@ -58,6 +58,25 @@ class TestTop:
         # at n = 5: 1,024 subsets of the 10 pairs
         assert groth.top(n).terms == top_by_subsets(n).terms
 
+    @pytest.mark.parametrize(
+        "n, size", [(1, 1), (2, 2), (3, 8), (4, 60), (5, 776), (6, 15_944)]
+    )
+    def test_sign_is_minus_one_to_the_y_degree(self, n, size):
+        # why top never cancels a term: each factor's shift raises the y-degree
+        # by one and flips the sign, so equal keys meet with equal signs
+        def sign_law_holds(f):
+            return all(
+                c != 0 and (c > 0) == (sum(key[n:]) % 2 == 0) for key, c in f.terms.items()
+            )
+
+        partial = LaurentPoly.const(n, 1)
+        for i in range(1, n):
+            for j in range(i + 1, n + 1):
+                partial = partial * top_factor(n, i, j)
+                assert sign_law_holds(partial)
+        assert groth.top(n) == partial and len(partial.terms) == size
+        assert sign_law_holds(groth.top(n))
+
 
 class TestGrothendieck:
     def test_identity_gives_top(self):
@@ -120,6 +139,14 @@ class TestGrothendieck:
 
 
 class TestPermutedGrothendieck:
+    @pytest.mark.parametrize(
+        "w, gamma", [((2, 1, 3), (1, 2)), ((1, 2), (2, 3, 1))], ids=["3-vs-2", "2-vs-3"]
+    )
+    def test_rank_mismatch_refused(self, w, gamma):
+        message = f"^rank mismatch: {len(w)} vs {len(gamma)}$"
+        with pytest.raises(InvalidInputError, match=message):
+            groth.permuted_grothendieck(Permutation(w), Permutation(gamma))
+
     def test_identity_gamma(self):
         for w in all_permutations(3):
             assert groth.permuted_grothendieck(

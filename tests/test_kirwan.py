@@ -27,10 +27,10 @@ from kflag.kirwan import (
     moment_image,
     presentation,
 )
-from kflag.laurent import LaurentPoly, elementary_symmetric, poly_to_json, polys_to_json
+from kflag.laurent import LaurentPoly, elementary_symmetric
 from kflag.perm import Permutation, all_permutations, bruhat_leq, permuted_bruhat_leq
 
-from oracles import permute_y_by_terms, pi_word, soundness_by_points, t_simple
+from oracles import permute_y_by_terms, pi_word, polys_to_json, soundness_by_points, t_simple
 
 
 def W(text):
@@ -172,6 +172,21 @@ class TestWeightVector:
         for build in (WeightVector.staircase, det_relation):
             with pytest.raises(InvalidInputError, match="rank must be a positive integer"):
                 build(n)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            pytest.param(lambda: WeightVector(()), "weight vector must have at least one entry",
+                         id="no-entries"),
+            pytest.param(lambda: is_regular(W("1,0,-1"), W("1,-1")), "rank mismatch: 3 vs 2",
+                         id="is-regular-ranks"),
+            pytest.param(lambda: eta_value(Permutation.identity(3), 1, W("1,-1")),
+                         "rank mismatch: 3 vs 2", id="eta-value-ranks"),
+        ],
+    )
+    def test_empty_or_mismatched_weights_refused(self, build, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            build()
 
 
 class TestMomentImage:
@@ -941,19 +956,23 @@ class TestPresentation:
         pres = presentation(W("1,0,-1"), W("1/4,1/8,-3/8"))
         assert pres.to_json_obj() == {
             "n": 3,
-            "ideal_I": [poly_to_json(p) for p in pres.ideal_i],
-            "det_relation": poly_to_json(pres.det_relation),
+            "ideal_I": [polys_to_json(p) for p in pres.ideal_i],
+            "det_relation": polys_to_json(pres.det_relation),
             "kernel": [
                 {
                     "v": list(g.v.images),
                     "gamma": list(g.gamma.images),
                     "witness_k": list(g.witnesses),
-                    "poly": poly_to_json(g.poly),
+                    "poly": polys_to_json(g.poly),
                 }
                 for g in pres.kernel
             ],
         }
         assert polys_to_json(pres.kernel[0].json_tree()) == pres.to_json_obj()["kernel"][0]
+
+    def test_json_obj_at_rank_4(self):
+        pres = presentation(W("3,1,-1,-3"), W("31/97,17/97,-11/97,-37/97"))
+        assert pres.to_json_obj() == polys_to_json(pres.json_tree())
 
     def test_rank_one_degenerate(self):
         pres = presentation(W("0"), W("0"))

@@ -22,7 +22,6 @@ from kflag.laurent import (
     permute_y,
     poly_from_json,
     poly_to_json,
-    polys_to_json,
     render_poly,
     write_json,
 )
@@ -34,6 +33,7 @@ from kflag.perm import Permutation, all_permutations
 from oracles import (
     eval_poly,
     permute_y_by_terms,
+    polys_to_json,
     random_laurent,
     random_point,
     restriction_class_to_json,
@@ -70,6 +70,22 @@ class TestBasics:
     def test_rank_mismatch(self):
         with pytest.raises(InvalidInputError):
             xv(2, 1) + xv(3, 1)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            pytest.param(lambda: xv(2, 0), "x index 0 out of range for rank 2", id="x-below"),
+            pytest.param(lambda: xv(2, 3), "x index 3 out of range for rank 2", id="x-above"),
+            pytest.param(lambda: yv(2, 3), "y index 3 out of range for rank 2", id="y-above"),
+            pytest.param(lambda: LaurentPoly.monomial(2, 1, xexp=(1,)),
+                         "exponent vectors must have length n", id="monomial-x-length"),
+            pytest.param(lambda: LaurentPoly.monomial(2, 1, yexp=(0, 0, 1)),
+                         "exponent vectors must have length n", id="monomial-y-length"),
+        ],
+    )
+    def test_generators_out_of_range_refused(self, build, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            build()
 
     def test_boolean_exponents_refused(self):
         # poly_to_json would write them as true/false, which poly_from_json refuses
@@ -464,7 +480,7 @@ def written(tree) -> str:
 
 
 def dumped(tree) -> str:
-    # the oracle: the stdlib encoder on the term lists of poly_to_json
+    # the oracle: the stdlib encoder on term lists built as dicts
     return json.dumps(polys_to_json(tree), indent=2)
 
 
@@ -560,6 +576,20 @@ class TestWriteJson:
     def test_random_trees_match_json_dumps(self, tree):
         assert written(tree) == dumped(tree)
         assert written(as_iterators(tree)) == dumped(tree)
+
+    @settings(derandomize=True, deadline=None, database=None)
+    @given(poly_trees())
+    def test_poly_to_json_reads_back_the_tree(self, tree):
+        # poly_to_json takes a leaf or a whole tree, iterators included
+        assert poly_to_json(tree) == polys_to_json(tree)
+        assert poly_to_json(as_iterators(tree)) == polys_to_json(tree)
+
+    def test_poly_to_json_of_a_leaf(self):
+        f = 3**200 * xv(2, 2) - 10**30 * LaurentPoly.monomial(2, 1, (-1, 0), (0, -2))
+        assert poly_to_json(f) == polys_to_json(f) == [
+            {"coeff": str(3**200), "x": [0, 1], "y": [0, 0]},
+            {"coeff": str(-(10**30)), "x": [-1, 0], "y": [0, -2]},
+        ]
 
 
 class TestRendering:

@@ -48,6 +48,12 @@ class TestConstruction:
         with pytest.raises(InvalidInputError, match="rank must be a positive integer"):
             Permutation.simple(n, 1)
 
+    @pytest.mark.parametrize("i", [0, 3, -1])
+    def test_simple_index_out_of_range_refused(self, i):
+        message = f"^simple reflection index {i} out of range for rank 3$"
+        with pytest.raises(InvalidInputError, match=message):
+            Permutation.simple(3, i)
+
     def test_from_one_line(self):
         assert Permutation.from_one_line("2,3,1") == P(2, 3, 1)
         with pytest.raises(InvalidInputError):
