@@ -56,7 +56,7 @@ from .errors import (
 )
 from . import laurent
 from .groth import grothendieck, permuted_grothendieck
-from .laurent import LaurentPoly, _is_permute_y, canonical_zero_test
+from .laurent import LaurentPoly, _is_permute_y
 from .perm import Permutation, _check_rank, all_permutations, bruhat_leq
 
 #: Ceiling for the exhaustive support sweep.
@@ -101,11 +101,6 @@ def _max_exponent(polys: Iterable[LaurentPoly]) -> int:
     )
 
 
-def _packing_base(f: LaurentPoly) -> int:
-    """The packing base B: the least power of two above 8 * (max |exponent| of f)."""
-    return _solve_base(_max_exponent([f]), f.n, 0)[1]
-
-
 def _sums(keys: Sequence[int], coeffs: Sequence[int]) -> dict[int, int]:
     acc: dict[int, int] = {}
     get = acc.get
@@ -124,12 +119,12 @@ def _packed_restrictions(
     order of free (the rest, increasing), the restriction of f (with det,
     modulo the determinant relation) is the sum of c * y^e over the items
     (k, c) of sums, where k packs e; zero coefficients may remain. Each node
-    gets a new dict. base, if given, is a power of two at least
-    _packing_base(f). With tied, a set of values, the walk places a tied
-    value j only after j - 1.
+    gets a new dict. base, if given, is a power of two at least the walk's own,
+    _solve_base(_max_exponent([f]), n, 0)[1]. With tied, a set of values, the
+    walk places a tied value j only after j - 1.
     """
     n = f.n
-    b = _packing_base(f) if base is None else base
+    b = _solve_base(_max_exponent([f]), n, 0)[1] if base is None else base
     ydigits = n - 1 if det else n
     yweights = [b**j for j in range(n)]
     if det:
@@ -246,7 +241,7 @@ def restrict_all(f: LaurentPoly) -> RestrictionClass:
     once; its points share one LaurentPoly object, which must not be mutated. The
     nonzero sums of the nodes are counted before each is decoded: past
     laurent.MAX_TERMS, the call raises LimitExceededError."""
-    ykeys = _YKeys(f.n, _packing_base(f))
+    ykeys = _YKeys(f.n, _solve_base(_max_exponent([f]), f.n, 0)[1])
     polys, written = [], 0
     for _, free, sums in _packed_restrictions(f, False, ykeys.b):
         written += len(sums) - countOf(sums.values(), 0)
@@ -492,10 +487,11 @@ def decompose(alpha: RestrictionClass, gamma: Permutation) -> dict[Permutation, 
 
     The basis class of (w, gamma) vanishes outside {z : z <=_gamma w} and is
     nonzero at z = w, so processing w by descending length of gamma^{-1}w
-    makes the system triangular: at each step only already-solved
-    coefficients contribute, and a_w is the exact quotient of the running
-    residue at w by the diagonal restriction. A failed division means alpha
-    is not a Laurent-coefficient combination of the basis.
+    makes the system triangular. a_w is the exact quotient of the residue at
+    w by the diagonal restriction; a failed division means alpha is not a
+    Laurent-coefficient combination of the basis. Step w leaves the residue at
+    w exactly 0, and later steps write only below their own points, so every
+    residue ends exactly 0, with no appeal to the determinant relation.
 
     The solve runs on packed y-keys with one base for the call and decodes
     only the coefficients. The diagonal restriction is the product over
@@ -542,7 +538,7 @@ def decompose(alpha: RestrictionClass, gamma: Permutation) -> dict[Permutation, 
         _add_product(residue, {k: -c for k, c in q.items()}, permuted_grothendieck(w, gamma), b)
         coeffs[w] = ykeys.poly(q)
     for z, res in zip(perms, residue):
-        if any(res.values()) and not canonical_zero_test(ykeys.poly(res)):
+        if any(res.values()):
             raise InternalInvariantError(f"nonzero residue left at {z} after the solve")
     return coeffs
 

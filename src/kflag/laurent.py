@@ -524,11 +524,13 @@ def _exponent_vector(value) -> tuple[int, ...]:
 
 def poly_from_json(data: Sequence[Mapping]) -> LaurentPoly:
     """Parse the term-list format; the rank is inferred from the exponent arrays.
-    A coefficient has at most MAX_COEFF_DIGITS digits."""
+    At most MAX_TERMS terms, each coefficient of at most MAX_COEFF_DIGITS digits."""
     if not isinstance(data, Sequence) or isinstance(data, (str, bytes)):
         raise InvalidInputError("polynomial JSON must be an array of terms")
     if not data:
         raise InvalidInputError("cannot infer the rank from an empty term list")
+    if len(data) > MAX_TERMS:
+        raise LimitExceededError(f"{len(data)} terms, over the term bound MAX_TERMS = {MAX_TERMS}")
     terms: dict[tuple[int, ...], int] = {}
     n = None
     for item in data:

@@ -28,7 +28,7 @@ from kflag.laurent import (
 )
 from kflag.perm import Permutation
 
-from oracles import polys_to_json, restriction_class_to_json
+from oracles import Sha256Sink, polys_to_json, restriction_class_to_json
 
 
 def run(capsys, *argv):
@@ -259,6 +259,39 @@ class TestDdoTermBound:
         if expected:
             assert out == "" and "would write at least 1001 terms" in err
             assert "over the term bound MAX_TERMS = 1000" in err
+
+
+class TestTermFileBound:
+    """A term list longer than MAX_TERMS is refused before any of its terms is
+    built, with exit 2 and the bound named: the --poly file of ddo and each
+    entry of decompose's --class file."""
+
+    @pytest.mark.parametrize("count, expected", [(3, 0), (4, 2)])
+    def test_a_poly_file_that_pi_writes_nothing_for(self, capsys, monkeypatch, tmp_path, count, expected):
+        # alpha_2 = alpha_1 + 1 in every term: pi_1 writes no term for any of
+        # them, so only the input bound can refuse the file
+        monkeypatch.setattr(laurent, "MAX_TERMS", 3)
+        terms = [{"coeff": "1", "x": [k, k + 1], "y": [0, 0]} for k in range(count)]
+        poly_file = tmp_path / "poly.json"
+        poly_file.write_text(json.dumps(terms))
+        code, out, err = run(capsys, "ddo", "--op", "pi", "--i", "1", "--poly", str(poly_file))
+        assert code == expected
+        if expected:
+            assert (out, err) == ("", f"error: {count} terms, over the term bound MAX_TERMS = 3\n")
+        else:
+            assert out == "0\n"
+
+    def test_a_class_entry(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(laurent, "MAX_TERMS", 3)
+        poly = [{"coeff": "1", "x": [0, 0], "y": [k, -k]} for k in range(4)]
+        data = {"n": 2, "entries": [{"z": [1, 2], "poly": poly}, {"z": [2, 1], "poly": []}]}
+        class_file = tmp_path / "class.json"
+        class_file.write_text(json.dumps(data))
+        code, out, err = run(
+            capsys, "decompose", "--n", "2", "--gamma", "1,2", "--class", str(class_file)
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: 4 terms, over the term bound MAX_TERMS = 3\n"
 
 
 class TestRestrictAndSupport:
@@ -980,6 +1013,67 @@ def test_file_inputs_exit_0_or_2(fuzz_path, argv, near_valid, data):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main([*argv, str(fuzz_path)])
     assert code in (0, 2)
+
+
+class TestInstalledScriptPins:
+    """The sha256 pins that the CI workflow checks on the installed kflag
+    script, reproduced in process."""
+
+    @staticmethod
+    def sha256(*argv):
+        sink = Sha256Sink()
+        with contextlib.redirect_stdout(sink):
+            assert main(list(argv)) == 0
+        return sink.digest.hexdigest()
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                "support --n 5 --w 3,5,1,4,2 --gamma 2,4,1,5,3 --json",
+                "4e854cf053e3970c9e020024350984772f372a6cca2362352ad58e4ef6a96f66",
+            ),
+            (
+                "support --n 6 --w 3,6,1,5,2,4 --gamma 2,4,6,1,3,5 --json",
+                "ceccdcb8055629e650e53eb2373d6b9261de0f5e4913ead77a5d34e5e54ecb1b",
+            ),
+            (
+                "restrict --n 6 --w 3,6,1,5,2,4 --gamma 2,4,6,1,3,5 --at 6,4,3,5,2,1 --json",
+                "947cf7901f9873850b7cb2b8029cf6eb5538a03524a14dec0805ba837ce27179",
+            ),
+            (
+                "groth --n 6 --w 1,4,5,2,3,6 --json",
+                "b6365fac34de3c1126cc5c50d9f73275d10e4af33d1e7163dd62bef421fc97b0",
+            ),
+        ],
+        ids=["support-5", "support-6", "restrict-6", "groth-6"],
+    )
+    def test_command(self, argv, expected):
+        assert self.sha256(*argv.split()) == expected
+
+    def test_decompose_of_a_product_class(self, tmp_path):
+        # the class file as the CI step writes it: the restriction of a
+        # product of two permuted classes
+        alpha = restrict_all(
+            groth.permuted_grothendieck(Permutation((2, 4, 1, 3)), Permutation((3, 1, 4, 2)))
+            * groth.permuted_grothendieck(Permutation((3, 1, 2, 4)), Permutation((1, 4, 2, 3)))
+        )
+        entries = [{"z": list(z.images), "poly": poly_to_json(f)} for z, f in alpha.entries.items()]
+        class_file = tmp_path / "class4.json"
+        class_file.write_text(json.dumps({"n": 4, "entries": entries}) + "\n")
+        assert self.sha256(
+            "decompose", "--n", "4", "--gamma", "2,3,4,1", "--class", str(class_file), "--json"
+        ) == "5aae79193f4ebc83e9bd8717329316d9188f47b3fdc7bf14e3b828ec6ed39d4f"
+
+    def test_delta_on_the_rank_six_class(self, tmp_path):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["groth", "--n", "6", "--w", "1,4,5,2,3,6", "--json"]) == 0
+        poly_file = tmp_path / "class.json"
+        poly_file.write_text(out.getvalue())
+        assert self.sha256(
+            "ddo", "--op", "delta", "--i", "2", "--poly", str(poly_file), "--json"
+        ) == "a8c3746d495da3115cf848fa952c88f42e2d1712ed1c5465c9b4042c60aeb721"
 
 
 class TestCliSurface:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from kflag import gkm, laurent
 from kflag.cli import main as cli_main
 from kflag.errors import (
+    InternalInvariantError,
     InvalidInputError,
     LimitExceededError,
     NotInSpanError,
@@ -272,7 +273,7 @@ class TestPackedWalk:
             for n in (1, 3):
                 f = wide_laurent(rng, n, bound, 4)
                 m = max(abs(e) for key in f.terms for e in key)
-                b = gkm._packing_base(f)
+                b = gkm._solve_base(gkm._max_exponent([f]), n, 0)[1]
                 assert b > 8 * m and b & (b - 1) == 0 and (b == 1 or b <= 16 * m)
 
     def test_zero_polynomial(self):
@@ -635,8 +636,7 @@ class TestDecomposeAgainstPointRoute:
         assert coeffs == decompose_by_points(alpha, gamma)
         back = recompose(coeffs, gamma, n)
         assert back.entries == recompose_by_points(coeffs, gamma, n)
-        for z in all_permutations(n):
-            assert canonical_zero_test(back.entries[z] - alpha.entries[z])
+        assert back.entries == alpha.entries
 
 
 class TestProductBudget:
@@ -836,6 +836,39 @@ class TestPackedSolve:
             match="^residue at 3,1,2 is not divisible by the diagonal restriction$",
         ):
             decompose(bad, Permutation.identity(n))
+
+    @pytest.mark.parametrize(
+        "fault",
+        # on packed keys 1 is 0, and y1 y2 y3 is the sum of the digit weights
+        [lambda b: {1 + b + b * b: 1, 0: -1}, lambda b: {0: 1}],
+        ids=["y1y2y3-1", "one"],
+    )
+    def test_a_residue_left_nonzero_is_refused(self, monkeypatch, fault):
+        # step w leaves the residue at w exactly 0 and no later step writes
+        # there, so a fault added at the first solved point after its step
+        # reaches the closing check: y1 y2 y3 - 1, zero only modulo the
+        # determinant relation, as well as 1
+        n = 3
+        perms = list(all_permutations(n))
+        gamma = Permutation((2, 3, 1))
+        first = gamma * Permutation.longest(n)  # gamma^-1 w = w0: solved first
+        alpha = recompose({first: yv(n, 1), Permutation.identity(n): 1 + yv(n, 2)}, gamma, n)
+        real, classes = gkm._add_product, []
+
+        def add_product_then_fault(entries, a, f, b):
+            real(entries, a, f, b)
+            if not classes:
+                acc = entries[perms.index(first)]
+                for k, c in fault(b).items():
+                    acc[k] = acc.get(k, 0) + c
+            classes.append(f)
+
+        monkeypatch.setattr(gkm, "_add_product", add_product_then_fault)
+        with pytest.raises(
+            InternalInvariantError, match=f"^nonzero residue left at {first} after the solve$"
+        ):
+            decompose(alpha, gamma)
+        assert classes[0] == permuted_grothendieck(first, gamma)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_diagonal_is_a_product_of_binomials(self, n):

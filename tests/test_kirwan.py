@@ -1,6 +1,7 @@
 import random
 from decimal import Decimal
 from fractions import Fraction
+from math import factorial
 from operator import itemgetter
 
 import pytest
@@ -74,6 +75,20 @@ def tied_levels(lam, seed):
     return levels
 
 
+def regular_levels(n, seed):
+    """Seeded zero-sum (lam, mu) with rational entries, lam strictly decreasing
+    and mu regular for it."""
+    rng = random.Random(seed)
+    while True:
+        lam, mu = ([Fraction(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(n - 1)]
+                   for _ in range(2))
+        lam = sorted(lam + [-sum(lam)], reverse=True)
+        if all(a > b for a, b in zip(lam, lam[1:])):
+            lam, mu = WeightVector(tuple(lam)), WeightVector(tuple(mu + [-sum(mu)]))
+            if is_regular(lam, mu).regular:
+                return lam, mu
+
+
 # thirds against sevenths: the integer tail sums are scaled by D = 21
 MIXED_LAM, MIXED_MU = "2,1/3,-2/3,-5/3", "3/7,1/7,-1/7,-3/7"
 # the staircase at rank 5: 11,520 generators over 105 base classes
@@ -119,6 +134,12 @@ class TestWeightVector:
         lam = W("1/4,1/8,-3/8")
         assert lam.entries == (Fraction(1, 4), Fraction(1, 8), Fraction(-3, 8))
         assert lam.format() == "1/4,1/8,-3/8"
+
+    @pytest.mark.parametrize(
+        "text", ["1/4,1/8,-3/8", "0,0", "4,2,0,-2,-4"], ids=["fractions", "zero", "integers"]
+    )
+    def test_str_is_the_parsed_text(self, text):
+        assert str(W(text)) == text
 
     def test_zero_sum_enforced(self):
         with pytest.raises(InvalidInputError):
@@ -516,6 +537,24 @@ class TestKernelGenerators:
         if W(lam).n == 5:
             counts = (len(polys), sum(len(p.terms) for p in polys.values()))
             assert counts == (3195, 455751)
+
+    @pytest.mark.parametrize(
+        "n, seed", [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (5, 1), (5, None)],
+        ids=["rank3-1", "rank3-2", "rank3-3", "rank4-1", "rank4-2", "rank5-1", "rank5-staircase"],
+    )
+    def test_each_rotation_orbit_holds_one_pair_outside(self, rank5_kernel, n, seed):
+        # the cycle lemma: a_i = lam_{v(i)} - mu_{gamma(i)} sums to 0 and, mu
+        # regular, no arc sum of a is 0; so exactly one of the n simultaneous
+        # rotations of (v, gamma) has every tail sum of a positive, which is
+        # the pair outside the kernel
+        gens = rank5_kernel if seed is None else kernel_generators(*regular_levels(n, seed))
+        inside = {(gen.v.images, gen.gamma.images) for gen in gens}
+        words = [p.images for p in all_permutations(n)]
+        for v in words:
+            for g in words:
+                orbit = [(v[k:] + v[:k], g[k:] + g[:k]) for k in range(n)]
+                assert sum(pair not in inside for pair in orbit) == 1
+        assert len(words) ** 2 - len(inside) == factorial(n) * factorial(n - 1)
 
     def test_repeated_call_gives_same_output(self):
         lam, mu = W("1,0,-1"), W("1/4,1/8,-3/8")

@@ -2,6 +2,7 @@ import io
 import json
 import pickle
 import random
+import re
 import signal
 import time
 from fractions import Fraction
@@ -70,6 +71,48 @@ class TestBasics:
     def test_rank_mismatch(self):
         with pytest.raises(InvalidInputError):
             xv(2, 1) + xv(3, 1)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: permute_y(Permutation((2, 1)), xv(3, 1)),
+            lambda: exact_div(xv(2, 1), xv(3, 1)),
+        ],
+        ids=["permute_y", "exact_div"],
+    )
+    def test_rank_mismatch_of_relabelling_and_division(self, build):
+        with pytest.raises(InvalidInputError, match="^rank mismatch: 2 vs 3$"):
+            build()
+
+    @pytest.mark.parametrize(
+        "apply, message",
+        [
+            (lambda f: f + 1.5, "+: 'LaurentPoly' and 'float'"),
+            (lambda f: f - 1.5, "-: 'LaurentPoly' and 'float'"),
+            (lambda f: "a" - f, "-: 'str' and 'LaurentPoly'"),
+            (lambda f: f * None, "*: 'LaurentPoly' and 'NoneType'"),
+        ],
+        ids=["add", "sub", "rsub", "mul"],
+    )
+    def test_operands_that_are_not_polynomials_refused(self, apply, message):
+        message = re.escape(f"unsupported operand type(s) for {message}")
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            apply(xv(2, 1))
+
+    def test_a_non_polynomial_is_unequal(self):
+        f = xv(2, 1)
+        assert (f == "a") is False and (f != "a") is True
+
+    @pytest.mark.parametrize(
+        "f, text",
+        [
+            (LaurentPoly.zero(2), "LaurentPoly(2, '0')"),
+            (xv(2, 1) - yv(2, 2), "LaurentPoly(2, 'x1 - y2')"),
+        ],
+        ids=["zero", "binomial"],
+    )
+    def test_repr(self, f, text):
+        assert repr(f) == text
 
     @pytest.mark.parametrize(
         "build, message",
@@ -467,6 +510,14 @@ class TestSerialization:
                     {"coeff": "2", "x": [0], "y": [0]},
                 ]
             )
+
+    def test_term_list_past_the_bound_refused_before_any_term(self, monkeypatch):
+        monkeypatch.setattr(laurent, "MAX_TERMS", 3)
+        terms = [{"coeff": "1", "x": [k], "y": [0]} for k in range(3)]
+        assert poly_from_json(terms) == 1 + xv(1, 1) + xv(1, 1) * xv(1, 1)
+        # items that are not terms at all: the length is refused first
+        with pytest.raises(LimitExceededError, match="^4 terms, over the term bound MAX_TERMS = 3$"):
+            poly_from_json([None] * 4)
 
     def test_big_coefficients_as_strings(self):
         f = (10**25) * xv(1, 1)
