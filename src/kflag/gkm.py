@@ -42,10 +42,10 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import count, islice, permutations, repeat
+from itertools import compress, count, islice, permutations, repeat
 from math import factorial
 from operator import add, countOf, itemgetter, mul
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import (
     InternalInvariantError,
@@ -56,8 +56,8 @@ from .errors import (
 )
 from . import laurent
 from .groth import grothendieck, permuted_grothendieck
-from .laurent import LaurentPoly, _is_permute_y
-from .perm import Permutation, _check_rank, all_permutations, bruhat_leq
+from .laurent import LaurentPoly, _is_permute_y, _max_exponent, _pack_keys
+from .perm import Permutation, _check_rank, _upper_covers, all_permutations
 
 #: Ceiling for the exhaustive support sweep.
 MAX_SWEEP_RANK = 5
@@ -93,14 +93,6 @@ def restrict(f: LaurentPoly, z: Permutation) -> LaurentPoly:
     return LaurentPoly._raw(n, out)
 
 
-def _max_exponent(polys: Iterable[LaurentPoly]) -> int:
-    """The largest |exponent| over the terms of polys."""
-    return max(
-        (max(max(map(max, f.terms)), -min(map(min, f.terms))) for f in polys if f.terms),
-        default=0,
-    )
-
-
 def _sums(keys: Sequence[int], coeffs: Sequence[int]) -> dict[int, int]:
     acc: dict[int, int] = {}
     get = acc.get
@@ -119,7 +111,8 @@ def _packed_restrictions(
     order of free (the rest, increasing), the restriction of f (with det,
     modulo the determinant relation) is the sum of c * y^e over the items
     (k, c) of sums, where k packs e; zero coefficients may remain. Each node
-    gets a new dict. base, if given, is a power of two at least the walk's own,
+    gets a new dict. f's keys are packed once, by laurent._pack_keys. base, if
+    given, is a power of two at least the walk's own,
     _solve_base(_max_exponent([f]), n, 0)[1]. With tied, a set of values, the
     walk places a tied value j only after j - 1.
     """
@@ -131,11 +124,7 @@ def _packed_restrictions(
         yweights[-1] = -sum(yweights[:-1])
     xweights = [b ** (ydigits + i) for i in range(n)]
     terms = list(f.terms)
-    packed = [0] * len(terms)
-    for slot, wt in enumerate(xweights + yweights):
-        col = list(map(itemgetter(slot), terms))
-        if wt and any(col):
-            packed = list(map(add, packed, map(mul, col, repeat(wt))))
+    packed = _pack_keys(terms, xweights + yweights)
     xcols = [list(map(itemgetter(i), terms)) for i in range(n)]
 
     def walk(keys, coeffs, xcols, free, prefix):
@@ -362,6 +351,11 @@ def verify_support_theorem(n: int) -> SweepReport:
     is compared with [e, u] once per u, and each pair's verdict is its base's,
     left-multiplied by gamma: the relabelled interval, and on a failing pair
     the relabelled support as well, in lexicographic order of z.
+
+    The intervals [e, u] come from one pass over the covers u * t_ab of
+    perm._upper_covers, with no Bruhat test: a cover is lexicographically larger
+    than u, so in lexicographic order each u holds all of [e, u] as a bit set
+    when it is reached, and ORs it into each of its covers.
     """
     _check_rank(n)
     if n > MAX_SWEEP_RANK:
@@ -374,11 +368,16 @@ def verify_support_theorem(n: int) -> SweepReport:
     # left[g][i] is the index of points[g] * points[i]
     left = [[index[tuple(g[v - 1] for v in z)] for z in points] for g in points]
     inv = [index[g.inverse().images] for g in perms]
+    # bit j of below[i]: points[j] <= points[i]; bin() reads the bits back, lowest first
+    below = [1 << i for i in range(len(points))]
+    for i, u in enumerate(points):
+        for upper in _upper_covers(u):
+            below[index[upper]] |= below[i]
     # per u: supp(G_u) and [e, u] as sorted indices, and whether they agree
     bases = []
-    for u in perms:
+    for u, bits in zip(perms, below):
         supp = sorted(index[z.images] for z in _coset_support(grothendieck(u)))
-        interval = [i for i, p in enumerate(perms) if bruhat_leq(p, u)]
+        interval = list(compress(count(), map("1".__eq__, bin(bits)[:1:-1])))
         bases.append((supp, interval, supp == interval))
     total = len(points) ** 2
     step = 2000

@@ -53,7 +53,7 @@ from .laurent import (
     elementary_symmetric,
     poly_to_json,
 )
-from .perm import Permutation, _check_rank, act_on_weights, all_permutations
+from .perm import Permutation, _check_rank, _upper_covers, act_on_weights, all_permutations
 
 
 #: Ceiling for the weight layer: is_regular's certificate can list up to
@@ -501,37 +501,27 @@ def cover_monotonicity(lam: WeightVector) -> tuple[tuple[Permutation, Permutatio
     points of every half-space {eta_k^gamma < eta_k^gamma(mu)} form a lower
     set of <=_gamma, for every gamma and mu. With the support theorem,
     decompose's triangular solve then puts every class supported in that
-    half-space in the span of the generators of (gamma, k). u' = u * t_ab
-    covers u when u(a) < u(b) and no position between a and b holds a value
-    between them. The tails are the integers of _scaled; a failure raises
-    SoundnessFailureError naming u, u' and k.
+    half-space in the span of the generators of (gamma, k). The covers
+    u' = u * t_ab are those of perm._upper_covers. The tails are the integers
+    of _scaled; a failure raises SoundnessFailureError naming u, u' and k.
     """
     lam.require_generic()
-    n = lam.n
-    perms = list(all_permutations(n))
+    perms = list(all_permutations(lam.n))
     position = {p.images: i for i, p in enumerate(perms)}
     d, lam_ints, _ = _scaled(lam, lam)
     tails = _tail_sums(lam_ints, [p.inverse() for p in perms])
     covers = []
     for u, lower in zip(perms, tails):
-        images = u.images
-        for a in range(n - 1):
-            # the least value above u(a) seen so far between a and b
-            least = n + 1
-            for b in range(a + 1, n):
-                if images[a] < images[b] < least:
-                    least = images[b]
-                    upper = list(images)
-                    upper[a], upper[b] = images[b], images[a]
-                    i = position[tuple(upper)]
-                    for k, lo, hi in zip(count(1), lower, tails[i]):
-                        if lo > hi:
-                            raise SoundnessFailureError(
-                                f"Bruhat cover {u} < {perms[i]} breaks the k={k} lower set:"
-                                f" lam tail {Fraction(lo, d)} over u^-1 exceeds"
-                                f" {Fraction(hi, d)} over u'^-1"
-                            )
-                    covers.append((u, perms[i]))
+        for upper in _upper_covers(u.images):
+            i = position[upper]
+            for k, lo, hi in zip(count(1), lower, tails[i]):
+                if lo > hi:
+                    raise SoundnessFailureError(
+                        f"Bruhat cover {u} < {perms[i]} breaks the k={k} lower set:"
+                        f" lam tail {Fraction(lo, d)} over u^-1 exceeds"
+                        f" {Fraction(hi, d)} over u'^-1"
+                    )
+            covers.append((u, perms[i]))
     return tuple(covers)
 
 

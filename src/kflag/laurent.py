@@ -15,10 +15,11 @@ import itertools
 import json
 import re
 from collections.abc import Iterator
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from math import comb
-from operator import add, eq, itemgetter, neg, sub
-from typing import Mapping, Sequence
+from operator import add, and_, eq, itemgetter, mul, neg, rshift, sub
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import InvalidInputError, LimitExceededError, NotDivisibleError
 from .perm import Permutation, _check_rank
@@ -178,6 +179,9 @@ class LaurentPoly:
         return other - self
 
     def __mul__(self, other) -> "LaurentPoly":
+        """The product on keys packed by _pack_keys in w-bit balanced digits, w from the
+        operands' largest |exponent|s summed. Each term of the shorter operand adds its key to
+        all of the longer one's; the sums decode once by columns: bias, shift, mask, subtract."""
         if isinstance(other, int):
             if other == 0:
                 return LaurentPoly.zero(self.n)
@@ -194,17 +198,26 @@ class LaurentPoly:
                 f"a product of {len(a)} by {len(b)} terms would write {summands} summands,"
                 f" an upper bound on its size, over the term bound MAX_TERMS = {MAX_TERMS}"
             )
-        out: dict[tuple[int, ...], int] = {}
+        bound = _max_exponent([self]) + _max_exponent([other])
+        w = bound.bit_length() + 1
+        weights = [1 << (w * j) for j in range(2 * self.n)]
+        keys, coeffs = _pack_keys(a, weights), list(a.values())
+        out: dict[int, int] = {}
         get = out.get
-        for k2, c2 in b.items():
-            for k1, c1 in a.items():
-                key = tuple(map(add, k1, k2))
-                s = get(key, 0) + c1 * c2
+        for k2, c2 in zip(_pack_keys(b, weights), b.values()):
+            for key, prod in zip(map(add, keys, repeat(k2)), map(mul, coeffs, repeat(c2))):
+                s = get(key, 0) + prod
                 if s:
                     out[key] = s
                 else:
                     out.pop(key, None)
-        return LaurentPoly._raw(self.n, out)
+        half, mask = 1 << (w - 1), (1 << w) - 1
+        lifted = list(map(add, out, repeat(half * sum(weights))))
+        cols = [
+            map(sub, map(and_, map(rshift, lifted, repeat(w * j)), repeat(mask)), repeat(half))
+            for j in range(2 * self.n)
+        ]
+        return LaurentPoly._raw(self.n, dict(zip(zip(*cols), out.values())))
 
     __rmul__ = __mul__
 
@@ -230,6 +243,27 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.n}, {str(self)!r})"
+
+
+# -- packed keys ---------------------------------------------------------------
+
+
+def _max_exponent(polys: Iterable[LaurentPoly]) -> int:
+    """The largest |exponent| over the terms of polys."""
+    return max(
+        (max(max(map(max, f.terms)), -min(map(min, f.terms))) for f in polys if f.terms),
+        default=0,
+    )
+
+
+def _pack_keys(keys: Collection[tuple[int, ...]], weights: Sequence[int]) -> list[int]:
+    """sum_j key[j] * weights[j] for each key, one C-level pass per nonzero column."""
+    packed = [0] * len(keys)
+    for slot, wt in enumerate(weights):
+        col = list(map(itemgetter(slot), keys))
+        if wt and any(col):
+            packed = list(map(add, packed, map(mul, col, repeat(wt))))
+    return packed
 
 
 # -- symmetric building blocks ----------------------------------------------

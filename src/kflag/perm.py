@@ -188,6 +188,21 @@ def _rank_leq(vim: Sequence[int], wim: Sequence[int]) -> bool:
     return True
 
 
+def _upper_covers(images: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The image tuple of each u * t_ab that covers u in the Bruhat order, by positions
+    (a, b): u(a) < u(b) and no position between a and b holds a value between them."""
+    n = len(images)
+    for a in range(n - 1):
+        # the least value above u(a) seen so far between a and b
+        least = n + 1
+        for b in range(a + 1, n):
+            if images[a] < images[b] < least:
+                least = images[b]
+                upper = list(images)
+                upper[a], upper[b] = images[b], images[a]
+                yield tuple(upper)
+
+
 def permuted_bruhat_leq(v: Permutation, w: Permutation, gamma: Permutation) -> bool:
     """The gamma-permuted Bruhat order: v <=_gamma w iff gamma^{-1}v <= gamma^{-1}w."""
     if not (v.n == w.n == gamma.n):

@@ -20,7 +20,8 @@ support sweep decides every pair on its own instead of once per base class.
 Kernel soundness reads both sides of every inequality from ``eta_value`` at
 each support point, found by substitution, instead of one integer maximum
 per base class and cut. JSON term lists are built as dicts for the stdlib
-encoder, without the library's writer.
+encoder, without the library's writer. Products add exponent tuples term by
+term, without the library's packed keys.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
+from operator import add
 
 from kflag import gkm
 from kflag.ddo import pi
@@ -178,6 +180,30 @@ def random_laurent(
         if coeff:
             terms[key] = terms.get(key, 0) + coeff
     return LaurentPoly(n, {k: c for k, c in terms.items() if c})
+
+
+# -- products on exponent tuples --------------------------------------------------
+
+
+def mul_by_tuples(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """f * g with every summand's key built as its own tuple, the route
+    ``LaurentPoly.__mul__`` took before it added packed keys. The outer loop
+    runs over the shorter operand (g on a tie), and each sum is kept or popped
+    as it goes, so the term dict has the library's insertion order too."""
+    a, b = f.terms, g.terms
+    if len(a) < len(b):
+        a, b = b, a
+    out: dict[tuple[int, ...], int] = {}
+    get = out.get
+    for k2, c2 in b.items():
+        for k1, c1 in a.items():
+            key = tuple(map(add, k1, k2))
+            s = get(key, 0) + c1 * c2
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+    return LaurentPoly._raw(f.n, out)
 
 
 # -- variable relabellings, one exponent at a time ----------------------------------

@@ -1045,8 +1045,12 @@ class TestInstalledScriptPins:
                 "groth --n 6 --w 1,4,5,2,3,6 --json",
                 "b6365fac34de3c1126cc5c50d9f73275d10e4af33d1e7163dd62bef421fc97b0",
             ),
+            (
+                "verify --n 5",
+                "5e68bbd52744e433c6e21e3c3595b51e3e171ed55e8dece78e2fdd362d7d1394",
+            ),
         ],
-        ids=["support-5", "support-6", "restrict-6", "groth-6"],
+        ids=["support-5", "support-6", "restrict-6", "groth-6", "verify-5"],
     )
     def test_command(self, argv, expected):
         assert self.sha256(*argv.split()) == expected

@@ -42,6 +42,7 @@ from oracles import (
     random_laurent,
     recompose_by_points,
     substitute,
+    subword_bruhat_leq,
     support_by_substitution,
     sweep_by_pairs,
 )
@@ -427,6 +428,26 @@ class TestVerifySweep:
             assert check.interval == tuple(
                 v.images for v in perms if permuted_bruhat_leq(v, w, gamma)
             )
+
+    @staticmethod
+    def intervals(n):
+        """[e, w] for each w, read off the gamma = e pairs of the sweep."""
+        e = tuple(range(1, n + 1))
+        return {c.w: c.interval for c in verify_support_theorem(n).checks if c.gamma == e}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_intervals_from_covers_match_the_rank_matrix_test(self, n):
+        perms = list(all_permutations(n))
+        intervals = self.intervals(n)
+        assert list(intervals) == [w.images for w in perms]
+        for w in perms:
+            assert intervals[w.images] == tuple(v.images for v in perms if bruhat_leq(v, w))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_intervals_from_covers_match_subwords(self, n):
+        universe = sorted(itertools.permutations(range(1, n + 1)))
+        for w, interval in self.intervals(n).items():
+            assert interval == tuple(v for v in universe if subword_bruhat_leq(v, w))
 
     def test_rank_four_json_bytes_are_pinned(self, capsys):
         assert _verify_json_sha256(capsys, 4) == VERIFY_JSON_SHA256[4]

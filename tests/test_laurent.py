@@ -27,12 +27,13 @@ from kflag.laurent import (
     write_json,
 )
 from kflag.gkm import restrict_all
-from kflag.groth import grothendieck, top
+from kflag.groth import grothendieck, permuted_grothendieck, top
 from kflag.kirwan import WallHit, WeightVector, is_regular
 from kflag.perm import Permutation, all_permutations
 
 from oracles import (
     eval_poly,
+    mul_by_tuples,
     permute_y_by_terms,
     polys_to_json,
     random_laurent,
@@ -205,8 +206,13 @@ class TestProductBound:
     def powers(count, shift=0):
         return LaurentPoly._raw(1, {(k, shift): 1 for k in range(count)})
 
-    def test_oversized_product_refused_at_once(self):
+    def test_oversized_product_refused_at_once(self, monkeypatch):
         f, g = self.powers(1001), self.powers(1000, 1)
+
+        def pack_keys(keys, weights):
+            raise AssertionError("the product packed keys before its bound refused")
+
+        monkeypatch.setattr(laurent, "_pack_keys", pack_keys)
         start = time.perf_counter()
         for a, b in ((f, g), (g, f)):
             with pytest.raises(
@@ -225,6 +231,115 @@ class TestProductBound:
         monkeypatch.setattr(laurent, "MAX_TERMS", 12)
         # x^0..x^2 times y x^0..x^3: the sums collide, 6 distinct terms
         assert f * g == LaurentPoly._raw(1, {(k, 1): min(k + 1, 3, 6 - k) for k in range(6)})
+
+
+def random_terms(rng, n, count):
+    """Up to count terms at rank n: exponents in [-6, 6], coefficients in [-5, 5] but not 0."""
+    coeffs = [c for c in range(-5, 6) if c]
+    return {
+        tuple(rng.randint(-6, 6) for _ in range(2 * n)): rng.choice(coeffs) for _ in range(count)
+    }
+
+
+@st.composite
+def product_operands(draw):
+    n = draw(st.integers(1, 6))
+    keys = st.tuples(*[st.integers(-6, 6)] * (2 * n))
+    coeffs = st.integers(-(10**30), 10**30).filter(bool)
+    f, g = (LaurentPoly(n, draw(st.dictionaries(keys, coeffs, max_size=12))) for _ in "fg")
+    return f, g
+
+
+def edge_operands(n, slot, sign, k):
+    """Two operands whose largest |exponent|s sum to 2^k - 1, with the product
+    reaching sign * (2^k - 1) at slot: the largest digit that the product's
+    k + 1-bit digits hold when sign is 1."""
+    f, g = [0] * (2 * n), [0] * (2 * n)
+    f[slot], g[slot] = sign * 2 ** (k - 1), sign * (2 ** (k - 1) - 1)
+    f[-1 - slot] = -sign * 2 ** (k - 1)
+    one = (0,) * (2 * n)
+    return (
+        LaurentPoly(n, {tuple(f): 3, one: -1}),
+        LaurentPoly(n, {one: 2, tuple(g): -5, tuple(reversed(g)): 1}),
+    )
+
+
+class TestPackedProduct:
+    """f * g on packed keys has the terms of mul_by_tuples, in the same insertion order."""
+
+    @staticmethod
+    def check(f, g):
+        assert list((f * g).terms.items()) == list(mul_by_tuples(f, g).terms.items())
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_seeded_corpus(self, n):
+        rng = random.Random(40 + n)
+        for _ in range(40):
+            f = LaurentPoly(n, random_terms(rng, n, rng.randint(0, 15)))
+            g = LaurentPoly(n, random_terms(rng, n, rng.randint(0, 15)))
+            self.check(f, g)
+            self.check(g, f)
+            self.check(f, f)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @given(product_operands())
+    def test_random_operands(self, operands):
+        f, g = operands
+        self.check(f, g)
+        self.check(f, f)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 31])
+    def test_exponents_at_the_edge_of_the_digit_width(self, k, sign):
+        for n in (1, 2, 4):
+            for slot in range(2 * n):
+                f, g = edge_operands(n, slot, sign, k)
+                product = f * g
+                self.check(f, g)
+                self.check(g, f)
+                assert any(key[slot] == sign * (2**k - 1) for key in product.terms)
+
+    def test_huge_exponents_and_coefficients(self):
+        rng = random.Random(7)
+        for n in (1, 3, 5):
+            for e in (10**9, -(10**9)):
+                # one term with x1^e y_n^-e; coefficients near 10^30
+                zeros = (0,) * (n - 1)
+                big = LaurentPoly.monomial(n, 10**30 + 1, (e,) + zeros, zeros + (-e,))
+                terms = random_terms(rng, n, 8)
+                f = LaurentPoly(n, {k: c * (10**30 - 7) for k, c in terms.items()})
+                self.check(big, f)
+                self.check(f, big)
+                self.check(big, big)
+                self.check(big + f, big - f)
+
+    def test_empty_operand(self):
+        f = LaurentPoly(3, random_terms(random.Random(3), 3, 6))
+        for a, b in ((f, LaurentPoly.zero(3)), (LaurentPoly.zero(3), f)):
+            assert (a * b).terms == {}
+            self.check(a, b)
+        self.check(LaurentPoly.zero(2), LaurentPoly.zero(2))
+
+    def test_sums_that_cancel_and_come_back(self):
+        # (1 + x + x^2)(1 - x + x^2) = 1 + x^2 + x^4: x and x^2 cancel in the
+        # second row, x^3 in the third, and x^2 comes back after x^3
+        a = LaurentPoly(1, {(0, 0): 1, (1, 0): 1, (2, 0): 1})
+        b = LaurentPoly(1, {(0, 0): 1, (1, 0): -1, (2, 0): 1})
+        assert list((a * b).terms.items()) == [((0, 0), 1), ((2, 0), 1), ((4, 0), 1)]
+        self.check(a, b)
+        # (x - y)(x + y) = x^2 - y^2: the cross terms cancel
+        x, y = xv(2, 1), yv(2, 2)
+        self.check(x - y, x + y)
+        assert (x - y) * (x + y) == x * x - y * y
+
+    @pytest.mark.parametrize("gamma", [(1, 2, 3, 4, 5), (3, 1, 4, 5, 2), (5, 4, 3, 2, 1)])
+    def test_round_trip_products_of_the_localize_workload(self, gamma):
+        gamma = Permutation(gamma)
+        for u1, u2 in [((1, 2, 5, 4, 3), (5, 1, 4, 2, 3)), ((2, 3, 1, 4, 5), (3, 4, 1, 2, 5))]:
+            a = permuted_grothendieck(gamma * Permutation(u1), gamma)
+            b = permuted_grothendieck(gamma * Permutation(u2), gamma)
+            self.check(a, b)
+            self.check(b, a)
 
 
 class TestPermute:

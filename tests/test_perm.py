@@ -180,6 +180,19 @@ class TestBruhat:
                         assert bruhat_leq(u, w)
 
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_upper_covers_are_the_elements_one_length_above(self, n):
+        perms = list(all_permutations(n))
+        for u in perms:
+            covers = list(perm._upper_covers(u.images))
+            assert sorted(covers) == [
+                w.images for w in perms if w.length() == u.length() + 1 and bruhat_leq(u, w)
+            ]
+            # by positions (a, b): the two positions that each cover swaps
+            moved = [tuple(i for i in range(n) if w[i] != u.images[i]) for w in covers]
+            assert moved == sorted(moved)
+
+
 class TestPermutedBruhat:
     def test_identity_gamma_reduces_to_bruhat(self):
         perms = list(all_permutations(3))
